@@ -18,7 +18,6 @@ re-running a command reproduces its files exactly.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +51,7 @@ _PARTIES_RANGE = {
 
 @dataclass
 class RunConfig:
-    """One batch run; seed and workers fully determine the output bytes."""
+    """One batch run; the flags fully determine the output bytes."""
 
     command: str
     parties: int | None = None
@@ -60,7 +59,6 @@ class RunConfig:
     output_path: Path | None = None
     seed: int = 0
     restarts: int = 32
-    workers: int = 1
     format: str = "json"
     checkpoint: Path | None = None
 
@@ -74,7 +72,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="bellfacets", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    default_workers = int(os.environ.get("BELLFACETS_WORKERS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("enumerate", "classify", "verify", "violate", "reduce", "lift"):
         p = sub.add_parser(name)
@@ -83,7 +80,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", dest="output_path", type=Path, required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--restarts", type=int, default=32)
-        p.add_argument("--workers", type=int, default=default_workers)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--checkpoint", type=Path, default=None)
     return parser
@@ -235,9 +231,6 @@ def run(config: RunConfig) -> int:
     if config.format == "csv" and config.command not in _CSV_CAPABLE:
         print(f"bellfacets {config.command}: csv format is not supported", file=sys.stderr)
         return EXIT_ERROR
-    if config.workers < 1:
-        print("bellfacets: --workers must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
     try:
         return _COMMANDS[config.command](config)
     except (OSError, ValueError, UnsupportedSize, KeyError) as exc:
@@ -254,7 +247,6 @@ def main(argv: list[str] | None = None) -> int:
         output_path=args.output_path,
         seed=args.seed,
         restarts=args.restarts,
-        workers=args.workers,
         format=args.format,
         checkpoint=args.checkpoint,
     )

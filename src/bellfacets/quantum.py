@@ -1,23 +1,29 @@
 """Maximal quantum values of the generated inequalities over qubit observables.
 
-Each observer measures a +/-1 qubit observable per setting, parameterized by
-a unit Bloch vector; for fixed directions the inequality becomes a Hermitian
-operator on N qubits whose top eigenvalue is the best quantum value for that
-choice.  The maximum over directions and states is lower-bounded by
-alternating (see-saw) optimization: the state step takes the top eigenvector,
-and each direction step replaces one (observer, setting) Bloch vector by the
-normalized vector of Pauli expectation values, which maximizes the objective
-linearly.  Both steps are monotone, which the implementation asserts on
-every half-step.
+Each observer measures a +/-1 qubit observable n . sigma per setting, n a unit
+Bloch vector.  Every term uses one setting per observer, so for directions
+``dirs`` the Bell operator is sum_k T[k] sigma_k1 (x) ... (x) sigma_kN with
+T[k] = sum_s g_s prod_i dirs[i, s_i, k_i], the inequality in Pauli
+coordinates; its value in a state is <T, C>, where C[k] =
+<psi| sigma_k1 (x) ... (x) sigma_kN |psi> is the state's correlation tensor.
+
+The maximum over directions and states is lower-bounded by alternating
+(see-saw) optimization.  The state step takes the operator's top eigenvector.
+The direction step visits the observers in turn; no term holds two settings
+of one observer, so one contraction of g, C and the other observers'
+directions scores all its settings at once, and each takes its normalized
+score.  Both steps are monotone; a decrease beyond rounding raises
+RuntimeError.
 
 See-saw yields lower bounds only; reports label the result as the best value
-found over the requested restarts.
+found over the requested restarts.  The reported state's first amplitude of
+modulus above 1e-12 is real and positive, which fixes its global phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +36,7 @@ _PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 _DEGENERATE_NORM = 1e-12
 _MONOTONE_SLACK = 1e-8
+_ZERO_AMPLITUDE = 1e-12
 
 
 class NotNormalized(ValueError):
@@ -64,23 +71,61 @@ class ObservableDirection:
         return np.tensordot(self.directions[party, setting], _PAULI, axes=(0, 0))
 
 
-def _nonzero_terms(ineq: BellInequality) -> list[tuple[tuple[int, ...], int]]:
-    return [
-        (tuple(int(i) for i in pos), int(ineq.coeffs[tuple(pos)]))
-        for pos in np.argwhere(ineq.coeffs)
-    ]
+@cache
+def _pauli_basis(parties: int) -> np.ndarray:
+    """sigma_k1 (x) ... (x) sigma_kN for every k, observer 0 slowest; read-only,
+    shape (3^N, 2^N, 2^N)."""
+    basis = np.ones((1, 1, 1), dtype=np.complex128)
+    for _ in range(parties):
+        dim = 2 * basis.shape[1]
+        basis = np.einsum("aij,bkl->abikjl", basis, _PAULI).reshape(-1, dim, dim)
+    basis.setflags(write=False)
+    return basis
 
 
 def bell_operator(ineq: BellInequality, dirs: ObservableDirection) -> np.ndarray:
     """sum_n g_n  (x)_i (dirs[i][n_i] . sigma), Hermitian on 2^N dimensions."""
     if dirs.parties != ineq.parties:
         raise ValueError("direction set and inequality disagree on observer count")
-    dim = 2 ** ineq.parties
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for settings, coeff in _nonzero_terms(ineq):
-        mats = [dirs.observable(i, settings[i]) for i in range(ineq.parties)]
-        out += coeff * reduce(np.kron, mats)
-    return out
+    coords = ineq.coeffs  # becomes T: each step turns one settings axis into components
+    for party_dirs in dirs.directions:
+        coords = np.tensordot(coords, party_dirs, axes=(0, 0))
+    basis = _pauli_basis(ineq.parties)
+    dim = basis.shape[1]
+    return (coords.reshape(-1) @ basis.reshape(len(basis), -1)).reshape(dim, dim)
+
+
+def _correlations(state: np.ndarray, parties: int) -> np.ndarray:
+    """C[k] = <state| sigma_k1 (x) ... (x) sigma_kN |state>, shape (3,) * N; real,
+    since every Pauli product is Hermitian."""
+    return np.real(_pauli_basis(parties) @ state @ np.conj(state)).reshape((3,) * parties)
+
+
+@cache
+def _score_subscripts(parties: int, party: int) -> str:
+    """einsum subscripts of g, the other observers' directions and C, leaving
+    this observer's (setting, component) axes."""
+    settings, comps = "abcdefgh"[:parties], "ijklmnop"[:parties]
+    others = "".join(f",{settings[j]}{comps[j]}" for j in range(parties) if j != party)
+    return f"{settings}{others},{comps}->{settings[party]}{comps[party]}"
+
+
+def _observer_scores(
+    coeffs: np.ndarray, dirs: np.ndarray, corr: np.ndarray, party: int
+) -> np.ndarray:
+    """score[s, k]: the objective's linear coefficient on component k of this
+    observer's setting-s direction, with the state and the other observers fixed."""
+    others = [d for j, d in enumerate(dirs) if j != party]
+    return np.einsum(_score_subscripts(len(dirs), party), coeffs, *others, corr)
+
+
+def _canonical_phase(state: np.ndarray) -> np.ndarray:
+    """The state with its first amplitude of modulus > 1e-12 made real and positive."""
+    lead = int(np.argmax(np.abs(state) > _ZERO_AMPLITUDE))
+    modulus = abs(state[lead])
+    state = state * (np.conj(state[lead]) / modulus)
+    state[lead] = modulus  # the product can keep an imaginary part of one ulp
+    return state
 
 
 def evaluate_state(ineq: BellInequality, dirs: ObservableDirection, state: np.ndarray) -> float:
@@ -116,32 +161,6 @@ class QuantumValueReport:
         return self.violation_ratio > 1 + 1e-9
 
 
-def _direction_score(
-    psi_tensor: np.ndarray,
-    terms: list[tuple[tuple[int, ...], int]],
-    dirs: np.ndarray,
-    party: int,
-    setting: int,
-    parties: int,
-) -> np.ndarray:
-    """Vector of Pauli expectations for one slot: score[k] is the objective's
-    linear coefficient on component k of this direction."""
-    reduced = np.zeros((2, 2), dtype=np.complex128)
-    for settings, coeff in terms:
-        if settings[party] != setting:
-            continue
-        phi = psi_tensor
-        for j in range(parties):
-            if j == party:
-                continue
-            obs = np.tensordot(dirs[j, settings[j]], _PAULI, axes=(0, 0))
-            phi = np.moveaxis(np.tensordot(obs, phi, axes=(1, j)), 0, j)
-        phi = np.moveaxis(phi, party, -1).reshape(-1, 2)
-        psi = np.moveaxis(psi_tensor, party, -1).reshape(-1, 2)
-        reduced += coeff * phi.T @ np.conj(psi)
-    return np.real(np.einsum("kqp,pq->k", _PAULI, reduced))
-
-
 def seesaw_maximize(
     ineq: BellInequality,
     restarts: int = 32,
@@ -159,8 +178,6 @@ def seesaw_maximize(
     if restarts < 1:
         raise ValueError("need at least one restart")
     parties = ineq.parties
-    terms = _nonzero_terms(ineq)
-    used = [sorted({s[i] for s, _ in terms}) for i in range(parties)]
     scale = float(ineq.bound)
     cap = float(algebraic_maximum(ineq))
 
@@ -184,21 +201,21 @@ def seesaw_maximize(
             operator = bell_operator(ineq, ObservableDirection(dirs.copy()))
             eigvals, eigvecs = np.linalg.eigh(operator)
             value = float(eigvals[-1])
-            assert value >= prev - _MONOTONE_SLACK, "state step decreased the objective"
+            if value < prev - _MONOTONE_SLACK:
+                raise RuntimeError(f"state step decreased the objective from {prev!r} to {value!r}")
             trace.append(value)
             state = eigvecs[:, -1]
-            psi_tensor = state.reshape((2,) * parties)
+            corr = _correlations(state, parties)
 
             for party in range(parties):
-                for setting in used[party]:
-                    score = _direction_score(psi_tensor, terms, dirs, party, setting, parties)
-                    norm = np.linalg.norm(score)
-                    if norm < _DEGENERATE_NORM:
-                        continue  # null coefficient slice: keep previous direction
-                    gain = norm - float(dirs[party, setting] @ score)
-                    assert gain >= -_MONOTONE_SLACK, "direction step decreased the objective"
-                    value += gain
-                    dirs[party, setting] = score / norm
+                score = _observer_scores(ineq.coeffs, dirs, corr, party)
+                norms = np.linalg.norm(score, axis=1)
+                live = norms >= _DEGENERATE_NORM  # a null coefficient slice keeps its direction
+                gains = norms[live] - np.einsum("sk,sk->s", dirs[party, live], score[live])
+                if np.any(gains < -_MONOTONE_SLACK):
+                    raise RuntimeError(f"direction step decreased the objective by {-gains.min()!r}")
+                value += float(gains.sum())
+                dirs[party, live] = score[live] / norms[live, None]
             trace.append(value)
 
             if value - prev < improvement_threshold * scale:
@@ -216,13 +233,14 @@ def seesaw_maximize(
         if best_value >= cap - 1e-12 * max(1.0, cap):
             break
 
-    assert best_dirs is not None and best_state is not None
+    if best_dirs is None or best_state is None:
+        raise RuntimeError("see-saw found no finite objective value")
     return QuantumValueReport(
         inequality_id=ineq.provenance.to_text() if ineq.provenance is not None else "",
         quantum_max=best_value,
         violation_ratio=min(best_value / scale, cap / scale),
         directions=ObservableDirection(best_dirs),
-        state=best_state,
+        state=_canonical_phase(best_state),
         restarts_used=restarts_used,
         converged=best_converged,
         objective_trace=best_trace,

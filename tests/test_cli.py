@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bellfacets.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, build_parser, main
+from bellfacets.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, main
 
 
 def run_cli(*args):
@@ -175,15 +175,4 @@ def test_missing_input_file_is_io_error(tmp_path):
 
 def test_csv_rejected_for_nested_outputs(catalog2, tmp_path):
     code = run_cli("lift", "--in", catalog2, "--out", tmp_path / "x.csv", "--format", "csv")
-    assert code == EXIT_ERROR
-
-
-def test_workers_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("BELLFACETS_WORKERS", "3")
-    args = build_parser().parse_args(["classify", "--parties", "2", "--out", "x.json"])
-    assert args.workers == 3
-
-
-def test_invalid_worker_count(tmp_path):
-    code = run_cli("classify", "--parties", 2, "--out", tmp_path / "x.json", "--workers", 0)
     assert code == EXIT_ERROR

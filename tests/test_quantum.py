@@ -1,6 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from bellfacets import quantum
 from bellfacets import (
     BellInequality,
     NotNormalized,
@@ -14,6 +17,11 @@ from bellfacets import (
 )
 
 ROOT2 = np.sqrt(2.0)
+
+# A dense 16-term three-observer class (algebraic ratio 4) and the first fixed
+# four-observer function of the benchmark's n4 workload.
+DENSE3 = "N=3;table=50facaca5533cf03"
+N4_FIXED = "N=4;table=33cc330055ff553355cc0c0c55ff0c3faaccf3c0aafff3f3ccccccccaaffaaff"
 
 
 def _dirs(party_settings):
@@ -151,3 +159,154 @@ def test_seesaw_requires_a_restart():
     ineq = inequality_from_sign_function(SignFunction(2, 0))
     with pytest.raises(ValueError):
         seesaw_maximize(ineq, restarts=0)
+
+
+# ── per-term reference loops ────────────────────────────────────────────────
+# The library contracts in Pauli coordinates; these loops build the same
+# operator, scores and see-saw one term and one setting at a time.
+
+
+def _terms(ineq):
+    return [(tuple(int(i) for i in pos), int(ineq.coeffs[tuple(pos)]))
+            for pos in np.argwhere(ineq.coeffs)]
+
+
+def _reference_operator(ineq, dirs):
+    dim = 2 ** ineq.parties
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for settings, coeff in _terms(ineq):
+        mats = [dirs.observable(i, settings[i]) for i in range(ineq.parties)]
+        out += coeff * reduce(np.kron, mats)
+    return out
+
+
+def _reference_direction_score(psi_tensor, terms, dirs, party, setting, parties):
+    reduced = np.zeros((2, 2), dtype=np.complex128)
+    for settings, coeff in terms:
+        if settings[party] != setting:
+            continue
+        phi = psi_tensor
+        for j in range(parties):
+            if j == party:
+                continue
+            obs = np.tensordot(dirs[j, settings[j]], quantum._PAULI, axes=(0, 0))
+            phi = np.moveaxis(np.tensordot(obs, phi, axes=(1, j)), 0, j)
+        phi = np.moveaxis(phi, party, -1).reshape(-1, 2)
+        psi = np.moveaxis(psi_tensor, party, -1).reshape(-1, 2)
+        reduced += coeff * phi.T @ np.conj(psi)
+    return np.real(np.einsum("kqp,pq->k", quantum._PAULI, reduced))
+
+
+def _reference_seesaw(ineq, restarts, seed, improvement_threshold=1e-10, max_iterations=10_000):
+    """(best value, its trace, restarts used), one (observer, setting) at a time."""
+    parties = ineq.parties
+    terms = _terms(ineq)
+    used = [sorted({s[i] for s, _ in terms}) for i in range(parties)]
+    scale, cap = float(ineq.bound), float(algebraic_maximum(ineq))
+    best_value, best_trace, restarts_used = -np.inf, (), 0
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        restarts_used += 1
+        dirs = np.random.default_rng(child).normal(size=(parties, 3, 3))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        trace, prev = [], -np.inf
+        for _ in range(max_iterations):
+            eigvals, eigvecs = np.linalg.eigh(_reference_operator(ineq, ObservableDirection(dirs.copy())))
+            value = float(eigvals[-1])
+            trace.append(value)
+            psi_tensor = eigvecs[:, -1].reshape((2,) * parties)
+            for party in range(parties):
+                for setting in used[party]:
+                    score = _reference_direction_score(psi_tensor, terms, dirs, party, setting, parties)
+                    norm = np.linalg.norm(score)
+                    if norm < 1e-12:
+                        continue
+                    value += norm - float(dirs[party, setting] @ score)
+                    dirs[party, setting] = score / norm
+            trace.append(value)
+            done = value - prev < improvement_threshold * scale
+            prev = value
+            if done:
+                break
+        if prev > best_value:
+            best_value, best_trace = prev, tuple(trace)
+        if best_value >= cap - 1e-12 * max(1.0, cap):
+            break
+    return best_value, best_trace, restarts_used
+
+
+@pytest.fixture(scope="module")
+def reference_inequalities(census2, mermin_inequality):
+    texts = (DENSE3, N4_FIXED)
+    return (
+        [inequality_from_sign_function(cls.representative) for cls in census2.canonical_classes]
+        + [mermin_inequality]
+        + [inequality_from_sign_function(SignFunction.from_text(t)) for t in texts]
+    )
+
+
+def test_bell_operator_matches_per_term_reference(reference_inequalities):
+    rng = np.random.default_rng(11)
+    assert len(reference_inequalities) == 9
+    for ineq in reference_inequalities:
+        tol = 1e-12 * algebraic_maximum(ineq)
+        for _ in range(3):
+            dirs = ObservableDirection.random(ineq.parties, rng)
+            assert np.abs(bell_operator(ineq, dirs) - _reference_operator(ineq, dirs)).max() <= tol
+
+
+def test_observer_scores_match_per_setting_reference(reference_inequalities):
+    rng = np.random.default_rng(12)
+    for ineq in reference_inequalities:
+        parties, terms = ineq.parties, _terms(ineq)
+        tol = 1e-12 * algebraic_maximum(ineq)
+        for _ in range(3):
+            dirs = ObservableDirection.random(parties, rng).directions
+            state = rng.normal(size=2 ** parties) + 1j * rng.normal(size=2 ** parties)
+            state /= np.linalg.norm(state)
+            corr = quantum._correlations(state, parties)
+            for party in range(parties):
+                scores = quantum._observer_scores(ineq.coeffs, dirs, corr, party)
+                for setting in range(3):
+                    ref = _reference_direction_score(
+                        state.reshape((2,) * parties), terms, dirs, party, setting, parties)
+                    assert np.abs(scores[setting] - ref).max() <= tol
+
+
+def test_seesaw_matches_reference_loop(chsh_inequality, mermin_inequality):
+    for ineq, restarts, seed in ((chsh_inequality, 4, 1), (chsh_inequality, 6, 42),
+                                 (mermin_inequality, 4, 3), (mermin_inequality, 32, 7)):
+        value, trace, restarts_used = _reference_seesaw(ineq, restarts, seed)
+        report = seesaw_maximize(ineq, restarts=restarts, seed=seed)
+        assert len(report.objective_trace) == len(trace)
+        assert report.quantum_max == pytest.approx(value, abs=1e-9)
+        assert report.restarts_used == restarts_used
+
+
+def test_seesaw_raises_when_a_step_decreases(chsh_inequality, monkeypatch):
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def lowered_on_second_call(matrix):
+        eigvals, eigvecs = real_eigh(matrix)
+        calls.append(1)
+        if len(calls) == 2:  # below -algebraic max, so below any first-iteration value
+            eigvals = eigvals - 2 * algebraic_maximum(chsh_inequality)
+        return eigvals, eigvecs
+
+    monkeypatch.setattr(quantum.np.linalg, "eigh", lowered_on_second_call)
+    with pytest.raises(RuntimeError, match="state step decreased"):
+        seesaw_maximize(chsh_inequality, restarts=1, seed=1)
+    assert len(calls) == 2
+
+
+def test_seesaw_state_has_canonical_phase(chsh_inequality, mermin_inequality):
+    for ineq in (chsh_inequality, mermin_inequality):
+        report = seesaw_maximize(ineq, restarts=8, seed=7)
+        lead = np.flatnonzero(np.abs(report.state) > 1e-12)[0]
+        assert report.state[lead].imag == 0.0 and report.state[lead].real > 0.0
+        for phase in np.exp(1j * np.linspace(0.1, 6.2, 7)):  # any phase eigh might return
+            rephased = quantum._canonical_phase(report.state * phase)
+            assert rephased[lead].imag == 0.0
+            assert np.abs(rephased - report.state).max() < 1e-15
+        revalue = evaluate_state(ineq, report.directions, report.state)
+        assert revalue == pytest.approx(report.quantum_max, abs=1e-9)
