@@ -26,8 +26,6 @@ from .enumeration import (
     UnsupportedSize,
     classify,
     enumerate_admissible,
-    read_checkpoint,
-    write_checkpoint,
 )
 from .polytope import (
     BellInequality,
@@ -116,7 +114,6 @@ __all__ = [
     "lift",
     "lifted_vertices",
     "orbit_tables",
-    "read_checkpoint",
     "seesaw_maximize",
     "strategy_to_correlations",
     "strategy_to_vertex",
@@ -125,5 +122,4 @@ __all__ = [
     "two_setting_reduction",
     "vertex_matrix",
     "vertex_tensor",
-    "write_checkpoint",
 ]

@@ -10,7 +10,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -117,20 +117,27 @@ def read_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _csv_text(header: list[str], rows: Iterable[list[Any]]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def catalog_csv(entries: list[dict[str, Any]]) -> str:
     """Flat CSV export of an inequality catalog (one row per entry)."""
     if not entries:
         return ""
-    parties = int(entries[0]["parties"])
     fixed = ["parties", "sign_function", "bound", "canonical", "tight", "saturating_count", "rank"]
-    labels = settings_labels(parties)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fixed + labels)
-    for entry in entries:
-        row = [entry[k] for k in fixed] + list(entry["coeffs"])
-        writer.writerow(row)
-    return buf.getvalue()
+    labels = settings_labels(int(entries[0]["parties"]))
+    return _csv_text(fixed + labels, ([e[k] for k in fixed] + list(e["coeffs"]) for e in entries))
+
+
+def records_csv(records: list[dict[str, Any]]) -> str:
+    """CSV of flat records, columns in the first record's key order."""
+    keys = list(records[0]) if records else []
+    return _csv_text(keys, ([r[k] for k in keys] for r in records))
 
 
 def write_catalog(path: str | Path, entries: list[dict[str, Any]], fmt: str = "json") -> None:

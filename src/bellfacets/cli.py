@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import catalog as cat
-from .enumeration import UnsupportedSize, classify, enumerate_admissible
+from .enumeration import UnsupportedSize, classify
 from .lifting import lift, two_setting_reduction
 from .polytope import (
     BoundNotAttained,
@@ -60,7 +60,6 @@ class RunConfig:
     seed: int = 0
     restarts: int = 32
     format: str = "json"
-    checkpoint: Path | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,17 +80,11 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--restarts", type=int, default=32)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--checkpoint", type=Path, default=None)
     return parser
 
 
-def _catalog_entries(parties: int, checkpoint: Path | None) -> tuple[list[dict], bool]:
+def _catalog_entries(parties: int) -> tuple[list[dict], bool]:
     """Canonical catalog entries plus a findings flag."""
-    if checkpoint is not None:
-        # Drive the checkpointed stream so the file is produced/resumed, then
-        # classify from the (memoized) same stream.
-        for _ in enumerate_admissible(parties, checkpoint=checkpoint):
-            pass
     report = classify(parties)
     entries = []
     findings = False
@@ -105,8 +98,16 @@ def _catalog_entries(parties: int, checkpoint: Path | None) -> tuple[list[dict],
     return entries, findings
 
 
+def _read_entries(path: Path) -> list[dict]:
+    """Catalog entries from a JSON file: a list of objects, else ValueError."""
+    entries = cat.read_json(path)
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{path} is not a catalog: expected a JSON list of objects")
+    return entries
+
+
 def _cmd_enumerate(config: RunConfig) -> int:
-    entries, findings = _catalog_entries(config.parties, config.checkpoint)
+    entries, findings = _catalog_entries(config.parties)
     cat.write_catalog(config.output_path, entries, config.format)
     return EXIT_FINDINGS if findings else EXIT_OK
 
@@ -118,7 +119,7 @@ def _cmd_classify(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    entries = cat.read_json(config.input_path)
+    entries = _read_entries(config.input_path)
     results = []
     findings = False
     for entry in entries:
@@ -153,23 +154,14 @@ def _cmd_verify(config: RunConfig) -> int:
             }
         )
     if config.format == "csv":
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        keys = list(results[0].keys()) if results else []
-        writer.writerow(keys)
-        for row in results:
-            writer.writerow([row[k] for k in keys])
-        config.output_path.write_text(buf.getvalue(), encoding="utf-8")
+        config.output_path.write_text(cat.records_csv(results), encoding="utf-8")
     else:
         cat.write_json(config.output_path, results)
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
 def _cmd_violate(config: RunConfig) -> int:
-    entries = cat.read_json(config.input_path)
+    entries = _read_entries(config.input_path)
     for entry in entries:
         ineq = cat.entry_inequality(entry)
         report = seesaw_maximize(ineq, restarts=config.restarts, seed=config.seed)
@@ -193,7 +185,7 @@ def _cmd_reduce(config: RunConfig) -> int:
 
 
 def _cmd_lift(config: RunConfig) -> int:
-    entries = cat.read_json(config.input_path)
+    entries = _read_entries(config.input_path)
     for entry in entries:
         ineq = cat.entry_inequality(entry)
         entry["lifted"] = cat.lifted_block(lift(ineq))
@@ -248,7 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         restarts=args.restarts,
         format=args.format,
-        checkpoint=args.checkpoint,
     )
     return run(config)
 

@@ -1,13 +1,12 @@
 """Enumeration of admissible sign functions and their symmetry census.
 
-For two observers the whole 2^16 table space is scanned directly.  For more
-observers the generator works blockwise: table entries are assigned four at a
-time (observer 0's variable pair, for one fixed assignment of the rest), a
-block is only extended with one of the six locally valid patterns, and every
-other observer's block condition is enforced the moment its four entries are
-known.  For the last observer the condition determines each remaining block
-outright, so the search propagates the forced value and keeps it only when it
-is itself locally valid.
+An admissible N-observer table is four sections over the last observer's
+variable pair, one per assignment of that pair, and every section is an
+admissible (N-1)-observer table.  The last observer's block condition forces
+section 3 pointwise from the other three, so the stream is one recursion over
+section triples, starting from the six valid one-observer blocks.  For two
+observers an independent vectorized scan of all 2^16 tables
+(``mode="exhaustive"``) cross-checks it.
 
 The census (:func:`classify`) groups the stream into symmetry orbits via
 explicit orbit scans and annotates each canonical class.
@@ -15,16 +14,14 @@ explicit orbit scans and annotates each canonical class.
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .fourier import SignFunction, is_factorable, table_size
+from .fourier import SignFunction, _table_bits, is_factorable, table_size
 from .polytope import chsh_pattern, inequality_from_sign_function
 from .symmetry import orbit_tables
 
@@ -41,36 +38,9 @@ _VALID_BLOCKS = tuple(
 )
 
 
-def _second_party_ok(table: int) -> bool:
-    """Block conditions for observer 1 of a two-observer table."""
-    for ab in range(4):
-        b0 = table >> ab & 1
-        b1 = table >> (ab + 4) & 1
-        b2 = table >> (ab + 8) & 1
-        b3 = table >> (ab + 12) & 1
-        if b0 + b3 != b1 + b2:
-            return False
-    return True
-
-
-def _backtrack_two() -> Iterator[int]:
-    """Two-observer backtracking, ascending packed-table order."""
-    for n3 in _VALID_BLOCKS:
-        for n2 in _VALID_BLOCKS:
-            for n1 in _VALID_BLOCKS:
-                for n0 in _VALID_BLOCKS:
-                    table = n0 | n1 << 4 | n2 << 8 | n3 << 12
-                    if _second_party_ok(table):
-                        yield table
-
-
 def _exhaustive_two() -> Iterator[int]:
     """Vectorized scan of all 2^16 tables via the local block test."""
-    bits = np.unpackbits(
-        np.arange(1 << 16, dtype="<u2").view(np.uint8).reshape(-1, 2),
-        axis=1,
-        bitorder="little",
-    ).astype(np.int8)
+    bits = _table_bits(2, range(1 << 16)).astype(np.int8)
     ok = np.ones(1 << 16, dtype=bool)
     for p, q in ((1, 2), (4, 8)):
         base = [k for k in range(16) if not k & (p | q)]
@@ -81,14 +51,11 @@ def _exhaustive_two() -> Iterator[int]:
 
 @lru_cache(maxsize=None)
 def _admissible_tables(parties: int) -> tuple[int, ...]:
-    """Fully materialized admissible stream for N <= 3 (memoized)."""
-    return tuple(_table_stream(parties))
+    """Fully materialized admissible stream (memoized); N = 1 is the six blocks."""
+    return _VALID_BLOCKS if parties == 1 else tuple(_table_stream(parties))
 
 
 def _table_stream(parties: int) -> Iterator[int]:
-    if parties == 2:
-        yield from _backtrack_two()
-        return
     # Sections over the last observer's four pair assignments.  Each section
     # must itself be admissible for the first N-1 observers; the last
     # observer's block condition forces section 3 pointwise from the first
@@ -110,18 +77,11 @@ def _table_stream(parties: int) -> Iterator[int]:
                     yield s0 | s1 << m | s2 << (2 * m) | s3 << (3 * m)
 
 
-def enumerate_admissible(
-    parties: int,
-    mode: str = "backtracking",
-    checkpoint: str | Path | None = None,
-    checkpoint_every: int = 1_000_000,
-) -> Iterator[SignFunction]:
+def enumerate_admissible(parties: int, mode: str = "backtracking") -> Iterator[SignFunction]:
     """Stream every admissible sign function exactly once, deterministically.
 
-    ``mode`` is ``"backtracking"`` (any supported N) or ``"exhaustive"``
-    (N = 2 only).  When ``checkpoint`` is given, accepted tables already in
-    the file are replayed first and generation resumes past them, appending
-    a fresh snapshot every ``checkpoint_every`` accepted functions.
+    ``mode`` is ``"backtracking"`` (the section recursion, any supported N)
+    or ``"exhaustive"`` (N = 2 only, an independent scan of all 2^16 tables).
     """
     if not 2 <= parties <= 4:
         raise UnsupportedSize(f"enumeration supports 2 to 4 observers, got {parties}")
@@ -133,69 +93,8 @@ def enumerate_admissible(
         stream = _table_stream(parties)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    if checkpoint is None:
-        for table in stream:
-            yield SignFunction(parties, table)
-        return
-    yield from _stream_with_checkpoint(parties, stream, Path(checkpoint), checkpoint_every)
-
-
-def _stream_with_checkpoint(
-    parties: int, stream: Iterator[int], path: Path, every: int
-) -> Iterator[SignFunction]:
-    accepted: list[int] = []
-    if path.exists():
-        stored_parties, accepted = read_checkpoint(path)
-        if stored_parties != parties:
-            raise ValueError(f"checkpoint {path} is for N={stored_parties}, not N={parties}")
-    for table in accepted:
+    for table in stream:
         yield SignFunction(parties, table)
-    for _ in range(len(accepted)):  # deterministic order makes skip-ahead safe
-        next(stream)
-    unflushed = 0
-    try:
-        for table in stream:
-            accepted.append(table)
-            unflushed += 1
-            if unflushed >= every:
-                write_checkpoint(path, parties, accepted)
-                unflushed = 0
-            yield SignFunction(parties, table)
-    finally:
-        if unflushed:
-            write_checkpoint(path, parties, accepted)
-
-
-_CHECKPOINT_MAGIC = b"BELLENUM"
-_CHECKPOINT_VERSION = 1
-_HEADER = struct.Struct("<8sHHI")
-
-
-def write_checkpoint(path: str | Path, parties: int, tables: Iterable[int]) -> None:
-    tables = list(tables)
-    width = table_size(parties) // 8
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, parties, len(tables)))
-        for t in tables:
-            fh.write(int(t).to_bytes(width, "little"))
-
-
-def read_checkpoint(path: str | Path) -> tuple[int, list[int]]:
-    raw = Path(path).read_bytes()
-    magic, version, parties, count = _HEADER.unpack_from(raw)
-    if magic != _CHECKPOINT_MAGIC:
-        raise ValueError(f"{path} is not an enumeration checkpoint")
-    if version != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    width = table_size(parties) // 8
-    body = raw[_HEADER.size:]
-    if len(body) != count * width:
-        raise ValueError(f"checkpoint {path} is truncated")
-    tables = [
-        int.from_bytes(body[i * width:(i + 1) * width], "little") for i in range(count)
-    ]
-    return parties, tables
 
 
 @dataclass(frozen=True)

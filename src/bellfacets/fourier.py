@@ -39,6 +39,23 @@ def table_size(parties: int) -> int:
     return 1 << (2 * parties)
 
 
+def _table_bits(parties: int, tables: Iterable[int]) -> np.ndarray:
+    """Unpack packed tables into bit rows: row r, column k is bit k of tables[r]."""
+    n = table_size(parties)
+    raw = np.frombuffer(b"".join([t.to_bytes(n // 8, "little") for t in tables]), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").reshape(-1, n)
+
+
+def _bit_tables(rows: np.ndarray) -> list[int]:
+    """Pack bit rows (entry k in column k) into table integers, one per row."""
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    if width <= 8:  # N <= 3: one machine word per table
+        return packed.view(f"<u{width}").ravel().tolist()
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
 def _check_parties(parties: int) -> None:
     if not MIN_PARTIES <= parties <= MAX_PARTIES:
         raise ValueError(f"parties must be in [{MIN_PARTIES}, {MAX_PARTIES}], got {parties}")
@@ -163,9 +180,7 @@ class SignFunction:
 
     def values(self) -> np.ndarray:
         """The table as an int8 array of +/-1, index = packed assignment."""
-        n = table_size(self.parties)
-        raw = np.frombuffer(self.table.to_bytes(n // 8, "little"), dtype=np.uint8)
-        return (1 - 2 * np.unpackbits(raw, bitorder="little").astype(np.int8))[:n]
+        return 1 - 2 * _table_bits(self.parties, (self.table,))[0].astype(np.int8)
 
     def to_text(self) -> str:
         """Serialize as ``N=<n>;table=<hex>`` with little-endian bit order."""

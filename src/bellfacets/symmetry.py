@@ -7,20 +7,22 @@ a pair), and negating the whole function (exchanging a bound's face with its
 antiface).  Together these form a group of order N! * 8^N * 2 whose action
 on packed tables is a bit permutation plus an optional complement.
 
-Orbits are small enough (at most a few thousand elements for N <= 3) that
-canonical forms are computed by explicit orbit scan: the canonical
+Canonical forms are computed by explicit orbit scan: the canonical
 representative is the orbit member with the least packed-table integer.
+The orbit is built on the table as an array, one transpose per observer
+permutation and one gather per observer, for every N (at most 196608
+tables at N=4).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .fourier import SignFunction, table_size
+from .fourier import SignFunction, _bit_tables, _table_bits, table_size
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,11 @@ class SymmetryElement:
 
     def apply(self, s: SignFunction) -> SignFunction:
         """Transformed sign function t with t(P(v)) = +/- s(v)."""
-        n = table_size(s.parties)
-        perm = self.assignment_map()
-        bits = np.unpackbits(
-            np.frombuffer(s.table.to_bytes(n // 8, "little"), dtype=np.uint8),
-            bitorder="little",
-        )[:n]
-        moved = np.zeros(n, dtype=np.uint8)
-        moved[perm] = bits
+        moved = np.empty(table_size(s.parties), dtype=np.uint8)
+        moved[self.assignment_map()] = _table_bits(s.parties, (s.table,))[0]
         if self.flip_sign:
             moved ^= 1
-        packed = np.packbits(moved, bitorder="little").tobytes()
-        return SignFunction(s.parties, int.from_bytes(packed, "little"))
+        return SignFunction(s.parties, _bit_tables(moved)[0])
 
     def compose(self, other: "SymmetryElement") -> "SymmetryElement":
         """Element applying ``other`` first, then ``self``."""
@@ -115,58 +110,49 @@ def symmetry_group(parties: int) -> list[SymmetryElement]:
     return elements
 
 
-@lru_cache(maxsize=None)
-def _index_maps(parties: int) -> np.ndarray:
-    """Stacked assignment maps of all sign-free group elements, shape (K, 2^(2N)).
+# Gather maps of the 8 sign-free relabelings of one observer's pair on the
+# axis index a = u + 2w: negating u or w, then optionally swapping them.
+_LOCAL_MAPS = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0],
+                        [0, 2, 1, 3], [1, 3, 0, 2], [2, 0, 3, 1], [3, 1, 2, 0]])
 
-    Materialized for N <= 3 only (128 and 3072 rows); the N = 4 group has
-    98304 elements, so orbits there stream element by element instead.
+
+def _sign_free_images(s: SignFunction) -> Iterator[list[int]]:
+    """Packed tables of s under every sign-free relabeling, one list per
+    observer permutation (repeats included).
+
+    The table is a (4,)*N tensor with one axis per observer.  Each observer
+    permutation is one transpose, and the 8^N local relabelings are one
+    gather per axis.  Together they reach every sign-free element, each
+    being a local relabeling after an observer permutation; gathering rather
+    than scattering yields the inverses, the same set.
     """
-    maps = [
-        e.assignment_map()
-        for e in symmetry_group(parties)
-        if not e.flip_sign
-    ]
-    out = np.stack(maps)
-    out.setflags(write=False)
-    return out
-
-
-def _pack_rows(rows: np.ndarray, parties: int) -> list[int]:
-    """Pack (K, 2^(2N)) bit rows into table integers, little-endian bit order."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
+    parties = s.parties
     n = table_size(parties)
-    if n == 16:
-        return [int(x) for x in packed.view("<u2").ravel()]
-    if n == 64:
-        return [int(x) for x in packed.view("<u8").ravel()]
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    cube = _table_bits(parties, (s.table,)).reshape((4,) * parties)
+    for perm in itertools.permutations(range(parties)):
+        moved = cube.transpose(perm)
+        for axis in range(parties):
+            # axis `axis` of size 4 becomes (8, 4); the 8 stays in place
+            moved = np.take(moved, _LOCAL_MAPS, axis=2 * axis)
+        # (8, 4) * N -> (8,) * N + (4,) * N: one row per local relabeling
+        rows = moved.transpose(tuple(range(0, 2 * parties, 2)) + tuple(range(1, 2 * parties, 2)))
+        yield _bit_tables(rows.reshape(-1, n))
 
 
 def orbit_tables(s: SignFunction) -> set[int]:
     """Packed tables of the full symmetry orbit of s (both signs)."""
-    n = table_size(s.parties)
-    bits = np.unpackbits(
-        np.frombuffer(s.table.to_bytes(n // 8, "little"), dtype=np.uint8),
-        bitorder="little",
-    )[:n]
-    # Gathering through every index map hits the whole orbit because the
-    # group is closed under inversion.
-    if s.parties <= 3:
-        rows = bits[_index_maps(s.parties)]
-        plain = _pack_rows(rows, parties=s.parties)
-    else:
-        plain = []
-        for e in symmetry_group(s.parties):
-            if e.flip_sign:
-                continue
-            row = bits[e.assignment_map()]
-            packed = np.packbits(row, bitorder="little").tobytes()
-            plain.append(int.from_bytes(packed, "little"))
-    full = (1 << n) - 1
-    return set(plain) | {t ^ full for t in plain}
+    plain = set(itertools.chain.from_iterable(_sign_free_images(s)))
+    full = (1 << table_size(s.parties)) - 1
+    return plain | {t ^ full for t in plain}
 
 
 def canonicalize(s: SignFunction) -> SignFunction:
-    """Least packed table over the orbit of s; constant on orbits, idempotent."""
-    return SignFunction(s.parties, min(orbit_tables(s)))
+    """Least packed table over the orbit of s; constant on orbits, idempotent.
+
+    Streams the orbit instead of collecting it (196608 tables at N=4): the
+    least complement is the complement of the largest sign-free image.
+    """
+    low = high = s.table
+    for images in _sign_free_images(s):
+        low, high = min(low, *images), max(high, *images)
+    return SignFunction(s.parties, min(low, high ^ ((1 << table_size(s.parties)) - 1)))

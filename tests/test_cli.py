@@ -40,13 +40,6 @@ def test_enumerate_csv_has_settings_header(tmp_path):
     assert header.endswith("E_00,E_01,E_02,E_10,E_11,E_12,E_20,E_21,E_22")
 
 
-def test_enumerate_checkpoint_side_file(tmp_path):
-    path = tmp_path / "catalog.json"
-    ckpt = tmp_path / "stream.ckpt"
-    assert run_cli("enumerate", "--parties", 2, "--out", path, "--checkpoint", ckpt) == EXIT_OK
-    assert ckpt.exists() and ckpt.read_bytes()[:8] == b"BELLENUM"
-
-
 # ── verify ──────────────────────────────────────────────────────────────────
 
 
@@ -166,6 +159,23 @@ def test_missing_out_flag_is_usage_error(capsys):
 def test_unsupported_parties_is_usage_error(tmp_path):
     assert run_cli("enumerate", "--parties", 5, "--out", tmp_path / "x.json") == EXIT_ERROR
     assert run_cli("classify", "--parties", 4, "--out", tmp_path / "x.json") == EXIT_ERROR
+
+
+def test_checkpoint_flag_is_unknown(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        run_cli("enumerate", "--parties", 2, "--out", tmp_path / "x.json", "--checkpoint", "x")
+    assert info.value.code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("command", ["verify", "violate", "lift"])
+@pytest.mark.parametrize("text", ['{"a": 1}', '"x"', "[1]"])
+def test_malformed_catalog_is_one_line_error(command, text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"bellfacets {command}: ")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_missing_input_file_is_io_error(tmp_path):

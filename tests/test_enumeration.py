@@ -11,14 +11,12 @@ from bellfacets import (
     inequality_from_sign_function,
     is_admissible,
     is_factorable,
-    read_checkpoint,
-    write_checkpoint,
 )
 from bellfacets.enumeration import classify
 from bellfacets.polytope import chsh_pattern
 
 N2_ADMISSIBLE = 90      # established by the exhaustive 2^16 scan
-N3_ADMISSIBLE = 51678   # established by backtracking, cross-checked below
+N3_ADMISSIBLE = 51678   # established by the section recursion, cross-checked below
 N2_FACTORABLE = 18
 N3_FACTORABLE = 54
 
@@ -132,41 +130,3 @@ def test_census_three_observers_has_three_setting_class(census3):
                 found = True
     assert found, "no canonical class uses three settings for any observer"
 
-
-# ── checkpoints ─────────────────────────────────────────────────────────────
-
-
-def test_checkpoint_round_trip(tmp_path):
-    path = tmp_path / "enum.ckpt"
-    tables = [s.table for s in enumerate_admissible(2)][:20]
-    write_checkpoint(path, 2, tables)
-    assert path.read_bytes()[:8] == b"BELLENUM"
-    parties, loaded = read_checkpoint(path)
-    assert parties == 2 and loaded == tables
-
-
-def test_checkpoint_resume_reproduces_stream(tmp_path):
-    path = tmp_path / "enum.ckpt"
-    gen = enumerate_admissible(2, checkpoint=path, checkpoint_every=7)
-    partial = [next(gen).table for _ in range(30)]
-    gen.close()
-    _, stored = read_checkpoint(path)
-    assert stored == partial  # the final flush covers the unsynced tail
-    resumed = [s.table for s in enumerate_admissible(2, checkpoint=path, checkpoint_every=7)]
-    assert resumed == [s.table for s in enumerate_admissible(2)]
-    _, stored = read_checkpoint(path)
-    assert len(stored) == N2_ADMISSIBLE
-
-
-def test_checkpoint_rejects_other_party_count(tmp_path):
-    path = tmp_path / "enum.ckpt"
-    write_checkpoint(path, 3, [0, 1])
-    with pytest.raises(ValueError):
-        next(enumerate_admissible(2, checkpoint=path))
-
-
-def test_checkpoint_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.ckpt"
-    path.write_bytes(b"NOTMAGIC" + bytes(8))
-    with pytest.raises(ValueError):
-        read_checkpoint(path)

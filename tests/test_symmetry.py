@@ -126,3 +126,51 @@ def test_variable_negation_flips_spectrum_signs():
         for subset in range(16):
             sign = -1 if subset & 1 else 1
             assert after[subset] == sign * before[subset]
+
+
+# ── orbits against the per-element reference ───────────────────────────────
+
+
+def _reference_orbit(s, group):
+    return {g.apply(s).table for g in group}
+
+
+def test_orbit_matches_reference_two_observers(group2, admissible2):
+    rng = np.random.default_rng(71)
+    randoms = [SignFunction(2, int(t)) for t in rng.integers(0, 1 << 16, size=20)]
+    for s in admissible2 + randoms:
+        reference = _reference_orbit(s, group2)
+        assert orbit_tables(s) == reference
+        assert canonicalize(s).table == min(reference)
+
+
+def test_orbit_matches_reference_three_observers():
+    rng = np.random.default_rng(73)
+    group3 = symmetry_group(3)
+    stream = [s for s in enumerate_admissible(3)]
+    picks = [stream[int(i)] for i in rng.integers(0, len(stream), size=6)]
+    randoms = [SignFunction(3, int.from_bytes(rng.bytes(8), "little")) for _ in range(2)]
+    for s in picks + randoms:
+        reference = _reference_orbit(s, group3)
+        assert orbit_tables(s) == reference
+        assert canonicalize(s).table == min(reference)
+
+
+def test_orbit_four_observers_contains_sampled_images():
+    # the full 196608-element reference is too slow here; sample the group
+    rng = np.random.default_rng(79)
+    s = SignFunction(4, int.from_bytes(rng.bytes(32), "little"))
+    orbit = orbit_tables(s)
+    assert 196608 % len(orbit) == 0
+    canonical = canonicalize(s)
+    assert canonical.table == min(orbit)
+    for _ in range(10):
+        g = SymmetryElement(
+            tuple(int(i) for i in rng.permutation(4)),
+            tuple(bool(b) for b in rng.integers(0, 2, size=4)),
+            tuple((bool(a), bool(b)) for a, b in rng.integers(0, 2, size=(4, 2))),
+            bool(rng.integers(0, 2)),
+        )
+        moved = g.apply(s)
+        assert moved.table in orbit
+        assert canonicalize(moved) == canonical
