@@ -15,7 +15,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .enumeration import EnumerationReport
-from .fourier import SignFunction
+from .fourier import MAX_PARTIES, MIN_PARTIES, SignFunction
 from .lifting import LiftedInequality
 from .polytope import BellInequality, TightnessCertificate
 from .quantum import QuantumValueReport
@@ -51,17 +51,39 @@ def inequality_entry(
     }
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def entry_inequality(entry: dict[str, Any]) -> BellInequality:
-    """Rebuild the inequality exactly as stored (coefficients not recomputed)."""
-    parties = int(entry["parties"])
-    coeffs = np.array(entry["coeffs"], dtype=np.int64).reshape((3,) * parties)
-    coeffs.setflags(write=False)
-    return BellInequality(
-        parties=parties,
-        coeffs=coeffs,
-        bound=int(entry["bound"]),
-        provenance=SignFunction.from_text(entry["sign_function"]),
-    )
+    """Rebuild the inequality exactly as stored (coefficients not recomputed).
+
+    Each field is checked first; a malformed one raises one ValueError.
+    """
+    missing = [k for k in ("parties", "coeffs", "bound", "sign_function") if k not in entry]
+    if missing:
+        raise ValueError(f"catalog entry lacks {', '.join(missing)}")
+    parties, coeffs, bound = entry["parties"], entry["coeffs"], entry["bound"]
+    if not _is_int(parties) or not MIN_PARTIES <= parties <= MAX_PARTIES:
+        raise ValueError(
+            f"entry parties must be an integer in [{MIN_PARTIES}, {MAX_PARTIES}], got {parties!r}"
+        )
+    # a vertex value sums 3^N products of +/-1 and a coefficient: exact in int64
+    limit = (2**63 - 1) // 3**parties
+    if not (
+        isinstance(coeffs, list)
+        and len(coeffs) == 3**parties
+        and all(_is_int(c) and abs(c) <= limit for c in coeffs)
+    ):
+        raise ValueError(f"entry coeffs must be a list of {3**parties} integers within +/-{limit}")
+    if not _is_int(bound) or abs(bound) > limit:
+        raise ValueError(f"entry bound must be an integer within +/-{limit}, got {bound!r}")
+    provenance = SignFunction.from_text(entry["sign_function"])
+    if provenance.parties != parties:
+        raise ValueError(f"entry sign_function has N={provenance.parties}, parties is {parties}")
+    array = np.array(coeffs, dtype=np.int64).reshape((3,) * parties)
+    array.setflags(write=False)
+    return BellInequality(parties=parties, coeffs=array, bound=bound, provenance=provenance)
 
 
 def quantum_block(report: QuantumValueReport, seed: int, restarts: int) -> dict[str, Any]:

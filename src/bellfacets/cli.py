@@ -10,9 +10,10 @@ reduce     write the catalog of two-setting (first-variable) inequalities
 lift       append lifted (marginal + correlation) blocks to a catalog
 
 Exit status: 0 when all checks pass, 2 when a finding is recorded (an entry
-that is not tight or whose bound does not match the brute-force value), and
-1 for usage or I/O errors.  Output bytes are fully determined by the flags;
-re-running a command reproduces its files exactly.
+that is not tight, whose bound does not match the brute-force value, or whose
+coefficients are not those its sign function induces), and 1 for usage or
+I/O errors and malformed catalog entries.  Output bytes are fully determined
+by the flags; re-running a command reproduces its files exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import catalog as cat
 from .enumeration import UnsupportedSize, classify
 from .lifting import lift, two_setting_reduction
 from .polytope import (
+    BellInequality,
     BoundNotAttained,
     TightnessCertificate,
     certify_tightness,
@@ -106,6 +108,20 @@ def _read_entries(path: Path) -> list[dict]:
     return entries
 
 
+def _coeffs_ok(command: str, index: int, ineq: BellInequality) -> bool:
+    """Whether the stored coefficients are those the sign function induces;
+    a mismatch is reported on stderr."""
+    regenerated = inequality_from_sign_function(ineq.provenance)
+    if (regenerated.coeffs == ineq.coeffs).all():
+        return True
+    print(
+        f"bellfacets {command}: entry {index} ({ineq.provenance.to_text()}) has "
+        "coefficients its sign function does not induce",
+        file=sys.stderr,
+    )
+    return False
+
+
 def _cmd_enumerate(config: RunConfig) -> int:
     entries, findings = _catalog_entries(config.parties)
     cat.write_catalog(config.output_path, entries, config.format)
@@ -122,10 +138,9 @@ def _cmd_verify(config: RunConfig) -> int:
     entries = _read_entries(config.input_path)
     results = []
     findings = False
-    for entry in entries:
+    for index, entry in enumerate(entries):
         ineq = cat.entry_inequality(entry)
-        regenerated = inequality_from_sign_function(ineq.provenance)
-        coeffs_ok = bool((regenerated.coeffs == ineq.coeffs).all())
+        coeffs_ok = _coeffs_ok(config.command, index, ineq)
         bounds = lhv_max(ineq)
         bound_ok = bounds.maximum == entry["bound"] and bounds.minimum == -entry["bound"]
         try:
@@ -162,12 +177,15 @@ def _cmd_verify(config: RunConfig) -> int:
 
 def _cmd_violate(config: RunConfig) -> int:
     entries = _read_entries(config.input_path)
-    for entry in entries:
+    findings = False
+    for index, entry in enumerate(entries):
         ineq = cat.entry_inequality(entry)
+        if not _coeffs_ok(config.command, index, ineq):
+            findings = True
         report = seesaw_maximize(ineq, restarts=config.restarts, seed=config.seed)
         entry["quantum"] = cat.quantum_block(report, config.seed, config.restarts)
     cat.write_json(config.output_path, entries)
-    return EXIT_OK
+    return EXIT_FINDINGS if findings else EXIT_OK
 
 
 def _cmd_reduce(config: RunConfig) -> int:
@@ -186,11 +204,14 @@ def _cmd_reduce(config: RunConfig) -> int:
 
 def _cmd_lift(config: RunConfig) -> int:
     entries = _read_entries(config.input_path)
-    for entry in entries:
+    findings = False
+    for index, entry in enumerate(entries):
         ineq = cat.entry_inequality(entry)
+        if not _coeffs_ok(config.command, index, ineq):
+            findings = True
         entry["lifted"] = cat.lifted_block(lift(ineq))
     cat.write_json(config.output_path, entries)
-    return EXIT_OK
+    return EXIT_FINDINGS if findings else EXIT_OK
 
 
 _COMMANDS = {

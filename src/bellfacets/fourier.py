@@ -230,16 +230,16 @@ class FourierSpectrum:
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
-    """In-place integer Walsh-Hadamard butterfly over the last axis."""
-    out = np.ascontiguousarray(values, dtype=np.int64).copy()
-    n = out.shape[-1]
+    """Integer Walsh-Hadamard butterfly over the last axis (a new array)."""
+    out = np.asarray(values, dtype=np.int64)
+    shape = out.shape
+    n = shape[-1]
     h = 1
     while h < n:
-        for start in range(0, n, 2 * h):
-            a = out[..., start:start + h].copy()
-            b = out[..., start + h:start + 2 * h].copy()
-            out[..., start:start + h] = a + b
-            out[..., start + h:start + 2 * h] = a - b
+        # one stage: every block of 2h entries maps (a, b) to (a + b, a - b)
+        pairs = out.reshape(shape[:-1] + (n // (2 * h), 2, h))
+        a, b = pairs[..., 0, :], pairs[..., 1, :]
+        out = np.stack((a + b, a - b), axis=-2).reshape(shape)
         h *= 2
     return out
 

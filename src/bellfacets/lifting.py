@@ -126,6 +126,7 @@ def two_setting_reduction(parties: int) -> list[BellInequality]:
             if code >> first_index[k] & 1:
                 table |= 1 << k
         s = SignFunction(parties, table)
-        assert is_admissible(s)
+        if not is_admissible(s):
+            raise RuntimeError(f"first-variable function {s.to_text()} is not admissible")
         out.append(inequality_from_sign_function(s))
     return out

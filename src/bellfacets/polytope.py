@@ -15,7 +15,11 @@ the saturating half of the vertices span the whole space.
 
 Tightness is certified with exact integer arithmetic: the saturating
 vertices' rank over the rationals is computed by fraction-free Gaussian
-elimination, never floating point.
+elimination, never floating point.  A vertex and its negation span the same
+line, so the rank is taken on the sign-normalised rows of the saturating
+assignment set and memoised per set.  By the reconstruction identity every
+admissible inequality saturates one vertex of each assignment, the full set,
+so one elimination per observer count serves them all.
 """
 
 from __future__ import annotations
@@ -243,7 +247,8 @@ def fraction_free_rank(rows: Sequence[Sequence[int]]) -> int:
             for c in range(col, n_cols):
                 value = pivot * row[c] - factor * top[c]
                 q, rem = divmod(value, prev_pivot)
-                assert rem == 0, "fraction-free update must divide exactly"
+                if rem:
+                    raise RuntimeError("fraction-free update must divide exactly")
                 row[c] = q
         prev_pivot = pivot
         rank += 1
@@ -265,18 +270,31 @@ def certify_tightness(ineq: BellInequality) -> TightnessCertificate:
     The inequality is a facet (TIGHT) exactly when the saturating set spans
     all 3^N dimensions; the set lies in the affine hyperplane <g, E> = bound,
     so full linear rank is one more than the face's affine dimension.
+
+    Rows 2v and 2v+1 of the vertex matrix are +K[v] and -K[v], one line, so
+    the rank depends only on which assignments v saturate: it is taken on
+    the sign-normalised rows K[v] of that set and memoised per set.
     """
-    matrix = vertex_matrix(ineq.parties)
-    values = matrix @ ineq.coeffs.ravel()
-    saturating = matrix[values == ineq.bound]
-    if len(saturating) == 0:
+    values = vertex_matrix(ineq.parties) @ ineq.coeffs.ravel()
+    saturating = values == ineq.bound
+    count = int(saturating.sum())
+    if count == 0:
         raise BoundNotAttained(f"no vertex reaches the bound {ineq.bound}")
-    rank = fraction_free_rank(saturating.tolist())
+    assignments = saturating.reshape(-1, 2).any(axis=1)
+    rank = _assignment_rank(ineq.parties, assignments.tobytes())
     return TightnessCertificate(
         tight=rank == 3 ** ineq.parties,
-        saturating_count=int(len(saturating)),
+        saturating_count=count,
         rank=rank,
     )
+
+
+@lru_cache(maxsize=64)
+def _assignment_rank(parties: int, assignments: bytes) -> int:
+    """Exact rank of the rows K[v] (the +1-sign vertices) of an assignment
+    set, given as the bytes of its boolean mask over the 4^N assignments."""
+    chosen = np.frombuffer(assignments, dtype=bool)
+    return fraction_free_rank(vertex_matrix(parties)[0::2][chosen].tolist())
 
 
 def chsh_pattern(ineq: BellInequality) -> bool:

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bellfacets
+from bellfacets import SignFunction, inequality_from_sign_function
 from bellfacets.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, main
+
+SRC = str(Path(bellfacets.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
@@ -80,6 +88,19 @@ def test_verify_round_trips_certificates(catalog2, tmp_path):
         assert result["saturating_count"] == entry["saturating_count"]
         assert result["rank"] == entry["rank"]
         assert result["certificate_ok"]
+
+
+def test_verify_under_optimize_flag_writes_same_bytes(catalog2, tmp_path):
+    plain, optimized = tmp_path / "plain.json", tmp_path / "optimized.json"
+    assert run_cli("verify", "--in", catalog2, "--out", plain) == EXIT_OK
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "bellfacets.cli", "verify", "--in", str(catalog2),
+         "--out", str(optimized)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert optimized.read_bytes() == plain.read_bytes()
 
 
 # ── violate ─────────────────────────────────────────────────────────────────
@@ -178,6 +199,66 @@ def test_malformed_catalog_is_one_line_error(command, text, tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "violate", "lift"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("coeffs", None, id="coeffs-null"),
+        pytest.param("coeffs", [16] * 8, id="coeffs-short"),
+        pytest.param("coeffs", [16.5] + [0] * 8, id="coeffs-float"),
+        pytest.param("coeffs", [True] + [0] * 8, id="coeffs-bool"),
+        pytest.param("coeffs", [10 ** 30] + [0] * 8, id="coeffs-beyond-int64"),
+        pytest.param("bound", [16], id="bound-list"),
+        pytest.param("bound", 16.0, id="bound-float"),
+        pytest.param("bound", "16", id="bound-text"),
+        pytest.param("parties", 1, id="parties-1"),
+        pytest.param("parties", 5, id="parties-5"),
+        pytest.param("parties", "2", id="parties-text"),
+        pytest.param("parties", 3, id="parties-disagree"),
+        pytest.param("sign_function", 7, id="sign-function-number"),
+        pytest.param("sign_function", None, id="sign-function-null"),
+    ],
+)
+def test_malformed_entry_field_is_one_line_error(command, field, value, catalog2, tmp_path, capsys):
+    entries = json.loads(catalog2.read_text())
+    entries[0][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"bellfacets {command}: "), err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "violate", "lift"])
+def test_missing_entry_field_is_one_line_error(command, catalog2, tmp_path, capsys):
+    entries = json.loads(catalog2.read_text())
+    del entries[1]["coeffs"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    assert capsys.readouterr().err == f"bellfacets {command}: catalog entry lacks coeffs\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra, block",
+    [("lift", (), "lifted"), ("violate", ("--restarts", 1), "quantum")],
+)
+def test_mismatched_coefficients_are_a_finding(command, extra, block, catalog2, tmp_path, capsys):
+    entries = json.loads(catalog2.read_text())
+    entries[2]["coeffs"][0] += 8
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(entries))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", out, *extra) == EXIT_FINDINGS
+    assert capsys.readouterr().err.startswith(f"bellfacets {command}: entry 2 ")
+    written = json.loads(out.read_text())
+    assert len(written) == 6 and all(block in e for e in written)
+
+
 def test_missing_input_file_is_io_error(tmp_path):
     code = run_cli("verify", "--in", tmp_path / "absent.json", "--out", tmp_path / "v.json")
     assert code == EXIT_ERROR
@@ -186,3 +267,35 @@ def test_missing_input_file_is_io_error(tmp_path):
 def test_csv_rejected_for_nested_outputs(catalog2, tmp_path):
     code = run_cli("lift", "--in", catalog2, "--out", tmp_path / "x.csv", "--format", "csv")
     assert code == EXIT_ERROR
+
+
+# ── N=4 smoke path ──────────────────────────────────────────────────────────
+
+N4_TEXT = "N=4;table=33cc330055ff553355cc0c0c55ff0c3faaccf3c0aafff3f3ccccccccaaffaaff"
+
+
+def test_four_observer_entry_through_verify_lift_violate(tmp_path):
+    ineq = inequality_from_sign_function(SignFunction.from_text(N4_TEXT))
+    entry = {
+        "parties": 4,
+        "bound": 256,
+        "coeffs": [int(c) for c in ineq.coeffs.ravel()],
+        "sign_function": N4_TEXT,
+        "canonical": False,
+        "tight": True,
+        "saturating_count": 256,
+        "rank": 81,
+    }
+    catalog = tmp_path / "catalog4.json"
+    catalog.write_text(json.dumps([entry]))
+    verified, lifted, violated = (tmp_path / f"{n}.json" for n in ("v", "l", "q"))
+    assert run_cli("verify", "--in", catalog, "--out", verified) == EXIT_OK
+    [row] = json.loads(verified.read_text())
+    assert row["pass"] and row["rank"] == 81 and row["saturating_count"] == 256
+    assert (row["lhv_max"], row["lhv_min"]) == (256, -256)
+    assert run_cli("lift", "--in", catalog, "--out", lifted) == EXIT_OK
+    low, high = json.loads(lifted.read_text())[0]["lifted"]["bounds"]
+    assert -256 <= low <= high <= 256
+    assert run_cli("violate", "--in", catalog, "--out", violated,
+                   "--restarts", 1, "--seed", 7) == EXIT_OK
+    assert json.loads(violated.read_text())[0]["quantum"]["ratio"] >= 1

@@ -16,6 +16,7 @@ from bellfacets import (
     two_setting_reduction,
     vertex_tensor,
 )
+from bellfacets import lifting
 from bellfacets.lifting import lifted_matrix
 
 
@@ -89,6 +90,12 @@ def test_reduction_counts():
 def test_reduction_rejects_large_sizes():
     with pytest.raises(UnsupportedSize):
         two_setting_reduction(4)
+
+
+def test_reduction_admissibility_check_is_explicit(monkeypatch):
+    monkeypatch.setattr(lifting, "is_admissible", lambda s: False)
+    with pytest.raises(RuntimeError, match="not admissible"):
+        two_setting_reduction(2)
 
 
 def test_reduction_support_stays_two_setting():

@@ -1,8 +1,11 @@
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellfacets import (
     BellInequality,
@@ -11,6 +14,7 @@ from bellfacets import (
     DeterministicStrategy,
     NotAdmissible,
     SignFunction,
+    SymmetryElement,
     VariableAssignment,
     all_vertices,
     canonical_coefficient,
@@ -23,6 +27,7 @@ from bellfacets import (
     lhv_max_by_strategies,
     strategy_to_correlations,
     strategy_to_vertex,
+    two_setting_reduction,
     vertex_matrix,
     vertex_tensor,
 )
@@ -222,6 +227,55 @@ def test_unattained_bound_raises(chsh_inequality):
     loose = BellInequality(2, chsh_inequality.coeffs, 17)
     with pytest.raises(BoundNotAttained):
         certify_tightness(loose)
+
+
+def _raw_certificate(ineq):
+    """Reference: Bareiss on every saturating row, signs and all."""
+    matrix = vertex_matrix(ineq.parties)
+    rows = matrix[matrix @ ineq.coeffs.ravel() == ineq.bound]
+    rank = fraction_free_rank(rows.tolist())
+    return (rank == 3 ** ineq.parties, len(rows), rank)
+
+
+def _as_tuple(cert):
+    return (cert.tight, cert.saturating_count, cert.rank)
+
+
+def test_certificate_matches_rank_of_raw_saturating_rows(census3, chsh_inequality):
+    classes = [inequality_from_sign_function(c.representative) for c in census3.canonical_classes]
+    for ineq in classes + two_setting_reduction(3):
+        assert _as_tuple(certify_tightness(ineq)) == _raw_certificate(ineq) == (True, 64, 27)
+    other = inequality_from_sign_function(
+        SignFunction.from_function(2, lambda a, b, c, d: -1 if b == c == -1 else 1)
+    )
+    partial = BellInequality(2, chsh_inequality.coeffs + other.coeffs, 32)
+    cert = certify_tightness(partial)
+    assert _as_tuple(cert) == _raw_certificate(partial)
+    assert cert.saturating_count < 16 and not cert.tight
+
+
+@cache
+def _admissible_tables3():
+    return sorted(s.table for s in enumerate_admissible(3))
+
+
+_elements3 = st.builds(
+    SymmetryElement,
+    st.permutations(range(3)).map(tuple),
+    st.tuples(*[st.booleans()] * 3),
+    st.tuples(*[st.tuples(st.booleans(), st.booleans())] * 3),
+    st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, 51677), g=_elements3)
+def test_certificate_and_bounds_are_symmetry_invariant(index, g):
+    s = SignFunction(3, _admissible_tables3()[index])
+    ineq = inequality_from_sign_function(s)
+    image = inequality_from_sign_function(g.apply(s))
+    assert certify_tightness(image) == certify_tightness(ineq)
+    assert lhv_max(image) == lhv_max(ineq)
 
 
 # ── exact rank ──────────────────────────────────────────────────────────────
