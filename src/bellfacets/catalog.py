@@ -86,6 +86,22 @@ def entry_inequality(entry: dict[str, Any]) -> BellInequality:
     return BellInequality(parties=parties, coeffs=array, bound=bound, provenance=provenance)
 
 
+def entry_certificate(entry: dict[str, Any], index: int) -> TightnessCertificate:
+    """The certificate an entry records; a missing or mistyped field raises
+    one ValueError naming the entry's index and the field."""
+    missing = [k for k in ("tight", "saturating_count", "rank") if k not in entry]
+    if missing:
+        raise ValueError(f"catalog entry {index} lacks {', '.join(missing)}")
+    if not isinstance(entry["tight"], bool):
+        raise ValueError(f"catalog entry {index}: tight must be true or false, got {entry['tight']!r}")
+    for key in ("saturating_count", "rank"):
+        if not _is_int(entry[key]) or entry[key] < 0:
+            raise ValueError(
+                f"catalog entry {index}: {key} must be a non-negative integer, got {entry[key]!r}"
+            )
+    return TightnessCertificate(entry["tight"], entry["saturating_count"], entry["rank"])
+
+
 def quantum_block(report: QuantumValueReport, seed: int, restarts: int) -> dict[str, Any]:
     return {
         "max": float(report.quantum_max),

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import catalog as cat
 from .enumeration import UnsupportedSize, classify
+from .fourier import SignFunction
 from .lifting import lift, two_setting_reduction
 from .polytope import (
     BellInequality,
@@ -35,7 +36,7 @@ from .polytope import (
     lhv_max,
 )
 from .quantum import seesaw_maximize
-from .symmetry import canonicalize
+from .symmetry import orbit_tables
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -122,6 +123,18 @@ def _coeffs_ok(command: str, index: int, ineq: BellInequality) -> bool:
     return False
 
 
+def _canonical_flags(functions: list[SignFunction]) -> list[bool]:
+    """Whether each function (all of one observer count) is the least table
+    of its orbit, as canonicalize would say, scanning each orbit once."""
+    tables = {s.table for s in functions}
+    least = {}  # table among `functions` -> least table of its orbit
+    for s in functions:
+        if s.table not in least:
+            orbit = orbit_tables(s)
+            least.update(dict.fromkeys(orbit & tables, min(orbit)))
+    return [least[s.table] == s.table for s in functions]
+
+
 def _cmd_enumerate(config: RunConfig) -> int:
     entries, findings = _catalog_entries(config.parties)
     cat.write_catalog(config.output_path, entries, config.format)
@@ -140,6 +153,7 @@ def _cmd_verify(config: RunConfig) -> int:
     findings = False
     for index, entry in enumerate(entries):
         ineq = cat.entry_inequality(entry)
+        stored = cat.entry_certificate(entry, index)
         coeffs_ok = _coeffs_ok(config.command, index, ineq)
         bounds = lhv_max(ineq)
         bound_ok = bounds.maximum == entry["bound"] and bounds.minimum == -entry["bound"]
@@ -147,11 +161,7 @@ def _cmd_verify(config: RunConfig) -> int:
             cert = certify_tightness(ineq)
         except BoundNotAttained:
             cert = TightnessCertificate(tight=False, saturating_count=0, rank=0)
-        cert_ok = (
-            cert.tight == entry["tight"]
-            and cert.saturating_count == entry["saturating_count"]
-            and cert.rank == entry["rank"]
-        )
+        cert_ok = cert == stored
         ok = coeffs_ok and bound_ok and cert.tight and cert_ok
         findings = findings or not ok
         results.append(
@@ -189,12 +199,13 @@ def _cmd_violate(config: RunConfig) -> int:
 
 
 def _cmd_reduce(config: RunConfig) -> int:
+    reduction = two_setting_reduction(config.parties)
+    flags = _canonical_flags([ineq.provenance for ineq in reduction])
     entries = []
     findings = False
-    for ineq in two_setting_reduction(config.parties):
+    for ineq, canonical in zip(reduction, flags):
         cert = certify_tightness(ineq)
         bounds = lhv_max(ineq)
-        canonical = canonicalize(ineq.provenance) == ineq.provenance
         entries.append(cat.inequality_entry(ineq, cert, canonical=canonical))
         if not cert.tight or bounds.maximum != ineq.bound:
             findings = True

@@ -13,9 +13,12 @@ addresses.  Every vertex evaluates to exactly +/-2^(2N) against such a g
 (the reconstruction identity), which is what makes the bound classical and
 the saturating half of the vertices span the whole space.
 
-Tightness is certified with exact integer arithmetic: the saturating
-vertices' rank over the rationals is computed by fraction-free Gaussian
-elimination, never floating point.  A vertex and its negation span the same
+Tightness is certified with exact arithmetic, never floating point.  The
+saturating vertices' rank is first taken modulo a prime p: a minor that is
+nonzero mod p is a nonzero integer, so the rank mod p never exceeds the
+rank over the rationals, and when it reaches min(rows, cols) that is the
+rank.  Only a rank-deficient set falls back to fraction-free (Bareiss)
+elimination over the integers.  A vertex and its negation span the same
 line, so the rank is taken on the sign-normalised rows of the saturating
 assignment set and memoised per set.  By the reconstruction identity every
 admissible inequality saturates one vertex of each assignment, the full set,
@@ -199,12 +202,14 @@ def lhv_max(ineq: BellInequality) -> LhvBounds:
 
 @lru_cache(maxsize=None)
 def _strategy_matrix(parties: int) -> np.ndarray:
-    mat = np.stack(
-        [
-            strategy_to_correlations(d).entries.ravel().astype(np.int64)
-            for d in enumerate_strategies(parties)
-        ]
-    )
+    """Flattened correlation tensors of all strategies, in the order of
+    enumerate_strategies, built from the strategy bits (not from vertices)."""
+    bits = np.arange(1 << (3 * parties), dtype=np.int64)
+    shifts = 3 * np.arange(parties)[:, None] + np.arange(3)
+    outcomes = 1 - 2 * (bits[:, None, None] >> shifts & 1)  # (strategy, observer, setting)
+    mat = outcomes[:, 0]
+    for i in range(1, parties):
+        mat = (mat[:, :, None] * outcomes[:, i, None, :]).reshape(len(bits), -1)
     mat.setflags(write=False)
     return mat
 
@@ -226,7 +231,46 @@ def canonical_coefficient(
     return float((vertex.tensor * correlations.entries).sum()) / table_size(s.parties)
 
 
+# The largest prime below 2^31: residues multiply without overflow in int64.
+_WITNESS_PRIME = 2147483629
+
+
 def fraction_free_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer matrix rank.
+
+    The rank modulo a prime p is a lower bound on the rank over the
+    rationals (a minor nonzero mod p is a nonzero integer), and no rank
+    exceeds min(rows, cols); so when the rank mod p reaches that, it is the
+    rank.  Otherwise fraction-free (Bareiss) elimination decides.
+    """
+    mat = [[int(x) for x in row] for row in rows]
+    if mat:
+        full = min(len(mat), len(mat[0]))
+        if _rank_mod_prime(mat) == full:
+            return full
+    return _bareiss_rank(mat)
+
+
+def _rank_mod_prime(mat: list[list[int]]) -> int:
+    """Rank over GF(p) by row reduction on int64 residues below p."""
+    p = _WITNESS_PRIME
+    res = np.array([[x % p for x in row] for row in mat], dtype=np.int64)
+    rank = 0
+    for col in range(res.shape[1]):
+        nonzero = np.flatnonzero(res[rank:, col])
+        if not nonzero.size:
+            continue
+        pivot_row = rank + int(nonzero[0])
+        res[[rank, pivot_row]] = res[[pivot_row, rank]]
+        top = res[rank, col:] * pow(int(res[rank, col]), -1, p) % p
+        below = res[rank + 1:, col:]
+        below -= below[:, :1] * top  # products stay below p^2 < 2^62
+        below %= p
+        rank += 1
+    return rank
+
+
+def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer matrix rank by fraction-free (Bareiss) elimination."""
     mat = [[int(x) for x in row] for row in rows]
     if not mat:

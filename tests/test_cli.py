@@ -7,8 +7,14 @@ from pathlib import Path
 import pytest
 
 import bellfacets
-from bellfacets import SignFunction, inequality_from_sign_function
-from bellfacets.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, main
+from bellfacets import (
+    SignFunction,
+    canonicalize,
+    enumerate_admissible,
+    inequality_from_sign_function,
+    symmetry_group,
+)
+from bellfacets.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, _canonical_flags, main
 
 SRC = str(Path(bellfacets.__file__).resolve().parents[1])
 
@@ -136,6 +142,15 @@ def test_reduce_two_observers(tmp_path):
     assert all(e["tight"] for e in entries)
 
 
+def test_canonical_flags_match_canonicalize(census3):
+    reps = [c.representative for c in census3.canonical_classes]
+    images = [g.apply(s) for g, s in zip(symmetry_group(3)[1::97], reps)]
+    for functions in (list(enumerate_admissible(2)), reps + images):
+        flags = _canonical_flags(functions)
+        assert flags == [canonicalize(s) == s for s in functions]
+        assert 1 < sum(flags) < len(functions)
+
+
 def test_enumerate_three_observers(tmp_path):
     out = tmp_path / "catalog3.json"
     assert run_cli("enumerate", "--parties", 3, "--out", out) == EXIT_OK
@@ -240,6 +255,42 @@ def test_missing_entry_field_is_one_line_error(command, catalog2, tmp_path, caps
     capsys.readouterr()
     assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
     assert capsys.readouterr().err == f"bellfacets {command}: catalog entry lacks coeffs\n"
+
+
+_ABSENT = object()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("tight", _ABSENT, id="tight-missing"),
+        pytest.param("tight", 1, id="tight-int"),
+        pytest.param("tight", "true", id="tight-text"),
+        pytest.param("tight", None, id="tight-null"),
+        pytest.param("saturating_count", _ABSENT, id="count-missing"),
+        pytest.param("saturating_count", -16, id="count-negative"),
+        pytest.param("saturating_count", 16.0, id="count-float"),
+        pytest.param("saturating_count", True, id="count-bool"),
+        pytest.param("rank", _ABSENT, id="rank-missing"),
+        pytest.param("rank", "9", id="rank-text"),
+        pytest.param("rank", [9], id="rank-list"),
+        pytest.param("rank", False, id="rank-bool"),
+    ],
+)
+def test_malformed_certificate_field_is_one_line_error(field, value, catalog2, tmp_path, capsys):
+    entries = json.loads(catalog2.read_text())
+    if value is _ABSENT:
+        del entries[3][field]
+    else:
+        entries[3][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run_cli("verify", "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bellfacets verify: catalog entry 3"), err
+    assert field in err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellfacets import (
     FourierSpectrum,
@@ -217,6 +219,23 @@ def test_text_round_trip(chsh_sign):
 def test_text_rejects_malformed(text):
     with pytest.raises(ValueError):
         SignFunction.from_text(text)
+
+
+_near_texts = st.builds(
+    "N={};table={}".format,
+    st.one_of(st.integers(-3, 6).map(str), st.text(max_size=4)),
+    st.one_of(st.text("0123456789abcdefABCDEF \t", max_size=70), st.text(max_size=8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), _near_texts))
+def test_text_parser_raises_only_value_error(text):
+    try:
+        s = SignFunction.from_text(text)
+    except ValueError:
+        return
+    assert SignFunction.from_text(s.to_text()) == s
 
 
 def test_from_values_rejects_non_sign():

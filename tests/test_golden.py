@@ -1,8 +1,9 @@
 """Exact outputs pinned to their bytes.
 
-Each file the CLI writes at N=2 (and the N=3 catalog and census) is checked
-against the sha256 of the bytes it had when the digests were recorded, so a
-refactor that changes any exact output fails here, not only a rerun diff.
+Each file the CLI writes at N=2 (and the N=3 catalog, census and two-setting
+reduction) is checked against the sha256 of the bytes it had when the digests
+were recorded, so a refactor that changes any exact output fails here, not
+only a rerun diff.
 """
 
 import hashlib
@@ -35,6 +36,10 @@ GOLDEN = {
                "a55a9b9cbf0cbbfe2c497f80d29b4c27a424520a464689292d62329d169e11b3"),
     "c3.json": (["classify", "--parties", "3"],
                 "8df544fc8a42bff20af8093879196c7ca166ca3d9caeb20cc0bcc4bfc602a0a7"),
+    "r3.json": (["reduce", "--parties", "3"],
+                "5aa024a94c11de6e54de069bcc3d9ec1aeaa1a7a9587b40a68674fe92a007f66"),
+    "r3.csv": (["reduce", "--parties", "3", "--format", "csv"],
+               "43c61cec4fbad85d4769f952f120482b243959e9b914772f8c35ff0e3bc096e0"),
 }
 
 

@@ -31,6 +31,7 @@ from bellfacets import (
     vertex_matrix,
     vertex_tensor,
 )
+from bellfacets.polytope import _WITNESS_PRIME, _bareiss_rank, _strategy_matrix
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,15 @@ def test_inadmissible_function_is_rejected():
 def test_chsh_classical_bounds(chsh_inequality):
     assert lhv_max(chsh_inequality) == (16, -16)
     assert lhv_max_by_strategies(chsh_inequality) == (16, -16)
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4])
+def test_strategy_matrix_rows_are_strategy_correlations(parties):
+    rows = _strategy_matrix(parties)
+    strategies = list(enumerate_strategies(parties))
+    assert rows.shape == (len(strategies), 3 ** parties)
+    for row, d in zip(rows, strategies):
+        assert np.array_equal(row, strategy_to_correlations(d).entries.ravel())
 
 
 def test_both_bound_routes_agree_on_all_two_observer_inequalities(inequalities2):
@@ -298,3 +308,39 @@ def test_rank_matches_floating_oracle_on_random_small_matrices():
         right = rng.integers(-3, 4, size=(rank_target, cols))
         mat = left @ right  # rank at most rank_target by construction
         assert fraction_free_rank(mat.tolist()) == np.linalg.matrix_rank(mat.astype(float))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[_WITNESS_PRIME, 0], [0, 1]], [[1, 1], [1, 1 + _WITNESS_PRIME]]],
+    ids=["pivot-divisible-by-p", "determinant-p"],
+)
+def test_rank_when_p_divides_a_minor(rows):
+    # rank 1 modulo p, so the witness falls short and elimination over Q decides
+    assert fraction_free_rank(rows) == _bareiss_rank(rows) == 2
+
+
+_entries = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Random integer matrices, a third of them products of thin factors
+    (rank deficient), with entries beyond +/-2^63 among them."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    if draw(st.integers(0, 2)):
+        return draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    left = draw(st.lists(st.lists(_entries, min_size=inner, max_size=inner),
+                         min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                          min_size=inner, max_size=inner))
+    return [[sum(row[k] * right[k][j] for k in range(inner)) for j in range(cols)]
+            for row in left]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_integer_matrices())
+def test_rank_agrees_with_bareiss(rows):
+    assert fraction_free_rank(rows) == _bareiss_rank(rows)
