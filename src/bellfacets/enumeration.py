@@ -4,12 +4,13 @@ An admissible N-observer table is four sections over the last observer's
 variable pair, one per assignment of that pair, and every section is an
 admissible (N-1)-observer table.  The last observer's block condition forces
 section 3 pointwise from the other three, so the stream is one recursion over
-section triples, starting from the six valid one-observer blocks.  For two
-observers an independent vectorized scan of all 2^16 tables
-(``mode="exhaustive"``) cross-checks it.
+section triples, starting from the six valid one-observer blocks; each step
+tests blocks of triples as arrays.  For two observers an independent
+vectorized scan of all 2^16 tables (``mode="exhaustive"``) cross-checks it.
 
-The census (:func:`classify`) groups the stream into symmetry orbits via
-explicit orbit scans and annotates each canonical class.
+The census (:func:`classify`) walks the sorted tables: the least table not
+yet in an orbit is the least member of its own orbit, which the symmetry
+module's image generator supplies whole; each canonical class is annotated.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .fourier import SignFunction, _table_bits, is_factorable, table_size
+from .fourier import SignFunction, _local_block_ok, _table_bits, is_factorable, table_size
 from .polytope import chsh_pattern, inequality_from_sign_function
-from .symmetry import orbit_tables
+from .symmetry import orbit_words
 
 
 class UnsupportedSize(ValueError):
@@ -32,27 +33,35 @@ class UnsupportedSize(ValueError):
 
 # The six 4-entry patterns a single observer's block may take: value tables of
 # +/-1, +/-u, +/-w on one variable pair (entry index bit 0 = first variable).
-_VALID_BLOCKS = tuple(
+_VALID_BLOCKS = np.array([
     nib for nib in range(16)
     if ((nib >> 0 & 1) + (nib >> 3 & 1)) == ((nib >> 1 & 1) + (nib >> 2 & 1))
-)
+], dtype=np.uint64)
+_VALID_BLOCKS.setflags(write=False)
 
 
 def _exhaustive_two() -> Iterator[int]:
     """Vectorized scan of all 2^16 tables via the local block test."""
     bits = _table_bits(2, range(1 << 16)).astype(np.int8)
-    ok = np.ones(1 << 16, dtype=bool)
-    for p, q in ((1, 2), (4, 8)):
-        base = [k for k in range(16) if not k & (p | q)]
-        for r in base:
-            ok &= bits[:, r] + bits[:, r | p | q] == bits[:, r | p] + bits[:, r | q]
-    return iter(int(t) for t in np.flatnonzero(ok))
+    ok = _local_block_ok(bits, 2, 0) & _local_block_ok(bits, 2, 1)
+    return iter(np.flatnonzero(ok).tolist())
+
+
+# Candidate (s0, s1, s2) triples tested per block: 12 blocks cover N=3, and at
+# N=4 a block is one (s0, s1) pair against all 51678 s2, so the stream stays
+# lazy and its transients stay small.
+_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _admissible_tables(parties: int) -> tuple[int, ...]:
-    """Fully materialized admissible stream (memoized); N = 1 is the six blocks."""
-    return _VALID_BLOCKS if parties == 1 else tuple(_table_stream(parties))
+def _admissible_tables(parties: int) -> np.ndarray:
+    """Packed admissible tables in stream order (memoized, N <= 3), as uint64;
+    N = 1 is the six blocks."""
+    if parties == 1:
+        return _VALID_BLOCKS
+    tables = np.fromiter(_table_stream(parties), dtype=np.uint64)
+    tables.setflags(write=False)
+    return tables
 
 
 def _table_stream(parties: int) -> Iterator[int]:
@@ -60,21 +69,27 @@ def _table_stream(parties: int) -> Iterator[int]:
     # must itself be admissible for the first N-1 observers; the last
     # observer's block condition forces section 3 pointwise from the first
     # three and is valid only where sections 1 and 2 agreeing forces section
-    # 0 to agree as well.
+    # 0 to agree as well.  Each block tests a run of (s0, s1) pairs against
+    # every s2; hits come out in (s0, s1, s2) order, packed only then.
     prev = _admissible_tables(parties - 1)
-    prev_set = frozenset(prev)
+    ordered = np.sort(prev)
+    count = len(prev)
     m = table_size(parties - 1)
-    mask = (1 << m) - 1
-    for s0 in prev:
-        for s1 in prev:
-            d01 = s0 ^ s1
-            for s2 in prev:
-                agree = ~(s1 ^ s2) & mask
-                if agree & d01:
-                    continue
-                s3 = s0 ^ (s1 ^ s2)
-                if s3 in prev_set:
-                    yield s0 | s1 << m | s2 << (2 * m) | s3 << (3 * m)
+    mask = np.uint64((1 << m) - 1)
+    step = max(1, _BLOCK // count)
+    for start in range(0, count * count, step):
+        pairs = np.arange(start, min(start + step, count * count))
+        s0, s1 = prev[pairs // count, None], prev[pairs % count, None]
+        row, col = np.nonzero((~(s1 ^ prev) & mask & (s0 ^ s1)) == 0)
+        s0, s1, s2 = s0[row, 0], s1[row, 0], prev[col]
+        s3 = s0 ^ s1 ^ s2
+        hit = ordered[np.minimum(np.searchsorted(ordered, s3), count - 1)] == s3
+        s0, s1, s2, s3 = s0[hit], s1[hit], s2[hit], s3[hit]
+        if parties <= 3:  # the packed table fits one machine word
+            yield from (s0 | s1 << m | s2 << (2 * m) | s3 << (3 * m)).tolist()
+        else:  # four 64-bit sections, read one table at a time as a Python int
+            raw = np.stack((s0, s1, s2, s3), axis=1).astype("<u8").tobytes()
+            yield from (int.from_bytes(raw[i:i + 32], "little") for i in range(0, len(raw), 32))
 
 
 def enumerate_admissible(parties: int, mode: str = "backtracking") -> Iterator[SignFunction]:
@@ -125,20 +140,19 @@ def classify(parties: int) -> EnumerationReport:
     if parties not in (2, 3):
         raise UnsupportedSize(f"census is desk-scale for 2 or 3 observers, got {parties}")
     start = time.perf_counter()
-    tables = _admissible_tables(parties)
-    admissible = set(tables)
-    seen: set[int] = set()
+    tables = np.sort(_admissible_tables(parties))
+    unseen = np.ones(len(tables), dtype=bool)
     classes: list[CanonicalClass] = []
-    for t in tables:
-        if t in seen:
-            continue
-        orb = orbit_tables(SignFunction(parties, t))
-        if not orb <= admissible:
+    while unseen.any():
+        # orbits are disjoint, so the least unseen table's orbit is all
+        # unseen and that table is its least member
+        rep = SignFunction(parties, int(tables[unseen.argmax()]))
+        orb = orbit_words(rep)
+        at = np.minimum(np.searchsorted(tables, orb), len(tables) - 1)
+        if not np.array_equal(tables[at], orb):
             raise RuntimeError("symmetry orbit left the admissible family")
-        seen |= orb
-        rep = SignFunction(parties, min(orb))
+        unseen[at] = False
         classes.append(CanonicalClass(rep, len(orb), is_factorable(rep)))
-    classes.sort(key=lambda c: c.representative.table)
     factorable_count = sum(c.orbit_size for c in classes if c.factorable)
     if parties == 2:
         for cls in classes:

@@ -22,6 +22,7 @@ are the generators of the tight correlation inequalities built in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -273,6 +274,18 @@ def inverse_transform(spectrum: FourierSpectrum) -> SignFunction:
     return SignFunction(spectrum.parties, table)
 
 
+@lru_cache(maxsize=None)
+def _block_indices(parties: int) -> np.ndarray:
+    """Entry indices of every observer's local blocks, shape (N, 4, 4^(N-1)):
+    row i holds observer i's pair codes u + 2w = 0, 3, 1, 2, i.e. (+,+),
+    (-,-), (+,-), (-,+), for each assignment of the other observers."""
+    cube = np.arange(table_size(parties)).reshape((4,) * parties)  # axis 0 is observer N-1
+    index = np.stack([np.moveaxis(cube, parties - 1 - i, 0).reshape(4, -1)[[0, 3, 1, 2]]
+                      for i in range(parties)])
+    index.setflags(write=False)
+    return index
+
+
 def _local_block_ok(values: np.ndarray, parties: int, party: int) -> np.ndarray:
     """Vectorized block condition for one observer.
 
@@ -282,13 +295,8 @@ def _local_block_ok(values: np.ndarray, parties: int, party: int) -> np.ndarray:
     single table (shape (2^(2N),)) or a batch (..., 2^(2N)); returns a
     boolean (batch-shaped) verdict.
     """
-    n = table_size(parties)
-    p, q = 1 << (2 * party), 1 << (2 * party + 1)
-    idx = np.arange(n)
-    base = idx[(idx & (p | q)) == 0]
-    lhs = values[..., base] + values[..., base | p | q]
-    rhs = values[..., base | p] + values[..., base | q]
-    return np.all(lhs == rhs, axis=-1)
+    block = values[..., _block_indices(parties)[party]]
+    return np.all(block[..., 0, :] + block[..., 1, :] == block[..., 2, :] + block[..., 3, :], axis=-1)
 
 
 def is_admissible(s: SignFunction) -> bool:
@@ -296,10 +304,11 @@ def is_admissible(s: SignFunction) -> bool:
 
     Decided by the local block test (no transform): for each observer and
     each assignment of the remaining variables, the signed sum
-    s(+,+,r) + s(-,-,r) - s(+,-,r) - s(-,+,r) must vanish.
+    s(+,+,r) + s(-,-,r) - s(+,-,r) - s(-,+,r) must vanish.  The test is
+    linear, so it runs on the table's 0/1 bits, all observers in one gather.
     """
-    vals = s.values()
-    return all(bool(_local_block_ok(vals, s.parties, i)) for i in range(s.parties))
+    block = _table_bits(s.parties, (s.table,))[0][_block_indices(s.parties)]
+    return bool(np.all(block[:, 0] + block[:, 1] == block[:, 2] + block[:, 3]))
 
 
 def is_factorable(s: SignFunction) -> bool:

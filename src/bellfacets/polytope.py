@@ -33,14 +33,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .fourier import (
-    Monomial,
-    SignFunction,
-    VariableAssignment,
-    fourier_transform,
-    is_admissible,
-    table_size,
-)
+from .fourier import SignFunction, VariableAssignment, _fwht, is_admissible, table_size
 
 
 class NotAdmissible(ValueError):
@@ -174,17 +167,23 @@ class BellInequality:
         return float((self.coeffs * correlations.entries).sum())
 
 
+@lru_cache(maxsize=None)
+def _settings_placement(parties: int) -> tuple[np.ndarray, np.ndarray]:
+    """The variable subsets that address a settings tuple, and that tuple's
+    flat index in the (3,)*N tensor.  Observer i's pair code u + 2w is its
+    setting, except code 3: a local product, which addresses none."""
+    codes = np.arange(table_size(parties))[:, None] >> 2 * np.arange(parties) & 3
+    keep = (codes < 3).all(axis=1)
+    return np.flatnonzero(keep), codes[keep] @ 3 ** np.arange(parties - 1, -1, -1)
+
+
 def inequality_from_sign_function(s: SignFunction) -> BellInequality:
     """Place the spectrum of an admissible sign function on settings tuples."""
     if not is_admissible(s):
         raise NotAdmissible(f"{s.to_text()} has a local-product Fourier component")
-    spectrum = fourier_transform(s)
+    subsets, flat = _settings_placement(s.parties)
     coeffs = np.zeros((3,) * s.parties, dtype=np.int64)
-    for subset, value in enumerate(spectrum.coeffs):
-        mono = Monomial(s.parties, subset)
-        if mono.is_local_product:
-            continue
-        coeffs[mono.settings()] = value
+    coeffs.reshape(-1)[flat] = _fwht(s.values())[subsets]
     coeffs.setflags(write=False)
     return BellInequality(s.parties, coeffs, table_size(s.parties), provenance=s)
 

@@ -1,4 +1,6 @@
 from collections import Counter
+from functools import cache
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bellfacets import (
     is_admissible,
     is_factorable,
 )
+from bellfacets import enumeration
 from bellfacets.enumeration import classify
 from bellfacets.polytope import chsh_pattern
 
@@ -26,6 +29,41 @@ def test_exhaustive_matches_backtracking():
     backtracked = [s.table for s in enumerate_admissible(2, mode="backtracking")]
     assert sorted(exhaustive) == sorted(backtracked)
     assert len(exhaustive) == N2_ADMISSIBLE
+
+
+def _reference_stream(parties):
+    """The section recursion as a plain triple loop over (s0, s1, s2), the
+    order the stream keeps; one observer has the six valid blocks."""
+    if parties == 1:
+        yield from (b for b in range(16) if (b & 1) + (b >> 3 & 1) == (b >> 1 & 1) + (b >> 2 & 1))
+        return
+    prev = _reference_tables(parties - 1)
+    members = frozenset(prev)
+    m = 1 << (2 * (parties - 1))
+    mask = (1 << m) - 1
+    for s0 in prev:
+        for s1 in prev:
+            for s2 in prev:
+                if ~(s1 ^ s2) & mask & (s0 ^ s1):
+                    continue
+                s3 = s0 ^ s1 ^ s2
+                if s3 in members:
+                    yield s0 | s1 << m | s2 << (2 * m) | s3 << (3 * m)
+
+
+@cache
+def _reference_tables(parties):
+    return tuple(_reference_stream(parties))
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_stream_matches_triple_loop_reference(parties):
+    assert [s.table for s in enumerate_admissible(parties)] == list(_reference_tables(parties))
+
+
+def test_four_observer_stream_head_matches_reference():
+    head = [s.table for s in islice(enumerate_admissible(4), 2000)]
+    assert head == list(islice(_reference_stream(4), 2000))
 
 
 def test_stream_is_deterministic():
@@ -81,6 +119,14 @@ def test_three_observer_stream_is_admissible_sample():
 def test_unsupported_sizes(parties, mode):
     with pytest.raises(UnsupportedSize):
         next(enumerate_admissible(parties, mode=mode))
+
+
+def test_census_rejects_an_orbit_leaving_the_family(monkeypatch):
+    real = enumeration.orbit_words
+    # table 1 has a single -1 entry, which breaks a block condition
+    monkeypatch.setattr(enumeration, "orbit_words", lambda s: np.append(real(s), 1))
+    with pytest.raises(RuntimeError, match="left the admissible family"):
+        classify(2)
 
 
 def test_classify_rejects_four_observers():

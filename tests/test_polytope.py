@@ -12,6 +12,7 @@ from bellfacets import (
     BoundNotAttained,
     CorrelationTensor,
     DeterministicStrategy,
+    Monomial,
     NotAdmissible,
     SignFunction,
     SymmetryElement,
@@ -21,6 +22,7 @@ from bellfacets import (
     certify_tightness,
     enumerate_admissible,
     enumerate_strategies,
+    fourier_transform,
     fraction_free_rank,
     inequality_from_sign_function,
     lhv_max,
@@ -125,6 +127,58 @@ def test_trivial_inequality_coefficients():
 def test_inadmissible_function_is_rejected():
     with pytest.raises(NotAdmissible):
         inequality_from_sign_function(SignFunction.from_function(2, lambda a, b, c, d: a * b))
+
+
+def _reference_inequality_coeffs(s):
+    """The spectrum placed monomial by monomial; None when a local product
+    carries weight (the spectral definition of not admissible)."""
+    coeffs = np.zeros((3,) * s.parties, dtype=np.int64)
+    for subset, value in enumerate(fourier_transform(s).coeffs):
+        mono = Monomial(s.parties, subset)
+        if mono.is_local_product:
+            if value:
+                return None
+            continue
+        coeffs[mono.settings()] = value
+    return coeffs
+
+
+def _section_rule_tables4(seed, count):
+    """Seeded admissible N=4 tables (s0, s1, s2, s0^s1^s2) from N=3 sections."""
+    sections = _admissible_tables3()
+    members = frozenset(sections)
+    rng = np.random.default_rng(seed)
+    drawn = []
+    while len(drawn) < count:
+        s0, s1, s2 = (sections[int(i)] for i in rng.integers(0, len(sections), size=3))
+        if ~(s1 ^ s2) & ((1 << 64) - 1) & (s0 ^ s1) or s0 ^ s1 ^ s2 not in members:
+            continue
+        drawn.append(SignFunction(4, s0 | s1 << 64 | s2 << 128 | (s0 ^ s1 ^ s2) << 192))
+    return drawn
+
+
+def test_coefficient_placement_matches_monomial_reference(census3):
+    functions = (list(enumerate_admissible(2))
+                 + [c.representative for c in census3.canonical_classes]
+                 + _section_rule_tables4(seed=5, count=6))
+    for s in functions:
+        ineq = inequality_from_sign_function(s)
+        assert ineq.coeffs.dtype == np.int64 and not ineq.coeffs.flags.writeable
+        assert np.array_equal(ineq.coeffs, _reference_inequality_coeffs(s))
+
+
+def test_non_admissible_input_raises_like_the_reference():
+    rng = np.random.default_rng(83)
+    admissible = _admissible_tables3()
+    samples = [SignFunction(3, int.from_bytes(rng.bytes(8), "little")) for _ in range(40)]
+    # one flipped entry breaks a block condition of every observer
+    samples += [SignFunction(3, admissible[int(i)] ^ 1 << int(k))
+                for i, k in zip(rng.integers(0, len(admissible), 20), rng.integers(0, 64, 20))]
+    samples.append(SignFunction(4, int.from_bytes(rng.bytes(32), "little")))
+    for s in samples:
+        assert _reference_inequality_coeffs(s) is None
+        with pytest.raises(NotAdmissible):
+            inequality_from_sign_function(s)
 
 
 # ── classical bounds ────────────────────────────────────────────────────────

@@ -1,5 +1,9 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellfacets import (
     SignFunction,
@@ -174,3 +178,45 @@ def test_orbit_four_observers_contains_sampled_images():
         moved = g.apply(s)
         assert moved.table in orbit
         assert canonicalize(moved) == canonical
+
+
+# ── spectrum under relabeling ───────────────────────────────────────────────
+
+
+@cache
+def _admissible_tables(parties):
+    return sorted(s.table for s in enumerate_admissible(parties))
+
+
+@st.composite
+def _admissible_and_element(draw):
+    parties = draw(st.sampled_from((2, 3)))
+    tables = _admissible_tables(parties)
+    s = SignFunction(parties, tables[draw(st.integers(0, len(tables) - 1))])
+    g = SymmetryElement(
+        draw(st.permutations(range(parties)).map(tuple)),
+        draw(st.tuples(*[st.booleans()] * parties)),
+        draw(st.tuples(*[st.tuples(st.booleans(), st.booleans())] * parties)),
+        draw(st.booleans()),
+    )
+    return s, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_admissible_and_element())
+def test_spectrum_of_image_is_signed_permutation(case):
+    """(g.s)^(Q T) = sign * (-1)^|T & n| * s^(T): Q routes observer i's pair,
+    swapped if g swaps it, to observer g.party_permutation[i]; n holds the
+    negated variables; sign is -1 when g flips the global sign."""
+    s, g = case
+    before, after = fourier_transform(s), fourier_transform(g.apply(s))
+    negated = sum(nu << (2 * i) | nw << (2 * i + 1) for i, (nu, nw) in enumerate(g.negations))
+    for subset in range(1 << (2 * s.parties)):
+        routed = 0
+        for i, j in enumerate(g.party_permutation):
+            u, w = subset >> (2 * i) & 1, subset >> (2 * i + 1) & 1
+            if g.swaps[i]:
+                u, w = w, u
+            routed |= u << (2 * j) | w << (2 * j + 1)
+        sign = (-1) ** (bin(subset & negated).count("1") + g.flip_sign)
+        assert after[routed] == sign * before[subset]
