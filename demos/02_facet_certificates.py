@@ -13,7 +13,6 @@ import numpy as np
 from bellfacets import (
     BellInequality,
     SignFunction,
-    all_vertices,
     certify_tightness,
     inequality_from_sign_function,
     lhv_max,
@@ -53,7 +52,7 @@ def main():
     print(f"\nSum of two CHSH facets (bound 32): tight={cert.tight}, "
           f"saturating={cert.saturating_count}, rank={cert.rank} < 9")
 
-    print(f"\nVertex count check: {len(all_vertices(2))} vertices for two observers")
+    print(f"\nVertex count check: {len(vertex_matrix(2))} vertices for two observers")
 
 
 if __name__ == "__main__":

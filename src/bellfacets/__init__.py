@@ -12,7 +12,6 @@ from .fourier import (
     Monomial,
     NotSignValued,
     SignFunction,
-    VariableAssignment,
     fourier_transform,
     inverse_transform,
     is_admissible,
@@ -30,25 +29,16 @@ from .enumeration import (
 from .polytope import (
     BellInequality,
     BoundNotAttained,
-    CorrelationTensor,
-    DeterministicStrategy,
     LhvBounds,
     NotAdmissible,
     TightnessCertificate,
-    Vertex,
-    all_vertices,
-    canonical_coefficient,
     certify_tightness,
     chsh_pattern,
-    enumerate_strategies,
     fraction_free_rank,
     inequality_from_sign_function,
     lhv_max,
     lhv_max_by_strategies,
-    strategy_to_correlations,
-    strategy_to_vertex,
     vertex_matrix,
-    vertex_tensor,
 )
 from .quantum import (
     NotNormalized,
@@ -61,9 +51,7 @@ from .quantum import (
 )
 from .lifting import (
     LiftedInequality,
-    LiftedVertex,
     lift,
-    lifted_vertices,
     two_setting_reduction,
 )
 
@@ -73,13 +61,10 @@ __all__ = [
     "BellInequality",
     "BoundNotAttained",
     "CanonicalClass",
-    "CorrelationTensor",
-    "DeterministicStrategy",
     "EnumerationReport",
     "FourierSpectrum",
     "LhvBounds",
     "LiftedInequality",
-    "LiftedVertex",
     "Monomial",
     "NotAdmissible",
     "NotNormalized",
@@ -90,18 +75,13 @@ __all__ = [
     "SymmetryElement",
     "TightnessCertificate",
     "UnsupportedSize",
-    "VariableAssignment",
-    "Vertex",
     "algebraic_maximum",
-    "all_vertices",
     "bell_operator",
-    "canonical_coefficient",
     "canonicalize",
     "certify_tightness",
     "chsh_pattern",
     "classify",
     "enumerate_admissible",
-    "enumerate_strategies",
     "evaluate_state",
     "fourier_transform",
     "fraction_free_rank",
@@ -112,14 +92,10 @@ __all__ = [
     "lhv_max",
     "lhv_max_by_strategies",
     "lift",
-    "lifted_vertices",
     "orbit_tables",
     "seesaw_maximize",
-    "strategy_to_correlations",
-    "strategy_to_vertex",
     "symmetry_group",
     "table_size",
     "two_setting_reduction",
     "vertex_matrix",
-    "vertex_tensor",
 ]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import catalog as cat
@@ -52,19 +51,6 @@ _PARTIES_RANGE = {
 }
 
 
-@dataclass
-class RunConfig:
-    """One batch run; the flags fully determine the output bytes."""
-
-    command: str
-    parties: int | None = None
-    input_path: Path | None = None
-    output_path: Path | None = None
-    seed: int = 0
-    restarts: int = 32
-    format: str = "json"
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors are exit 1, findings own exit 2
         self.print_usage(sys.stderr)
@@ -86,17 +72,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _catalog_entries(parties: int) -> tuple[list[dict], bool]:
-    """Canonical catalog entries plus a findings flag."""
-    report = classify(parties)
+def _certified_entries(
+    inequalities: list[BellInequality], canonical: list[bool]
+) -> tuple[list[dict], bool]:
+    """Catalog entries plus a findings flag: an entry is a finding unless it
+    is tight and its LHV maximum and minimum are +/- its bound."""
     entries = []
     findings = False
-    for cls in report.canonical_classes:
-        ineq = inequality_from_sign_function(cls.representative)
+    for ineq, flag in zip(inequalities, canonical):
         cert = certify_tightness(ineq)
         bounds = lhv_max(ineq)
-        entries.append(cat.inequality_entry(ineq, cert, canonical=True))
-        if not cert.tight or bounds.maximum != ineq.bound or bounds.minimum != -ineq.bound:
+        entries.append(cat.inequality_entry(ineq, cert, canonical=flag))
+        if not cert.tight or bounds != (ineq.bound, -ineq.bound):
             findings = True
     return entries, findings
 
@@ -135,26 +122,28 @@ def _canonical_flags(functions: list[SignFunction]) -> list[bool]:
     return [least[s.table] == s.table for s in functions]
 
 
-def _cmd_enumerate(config: RunConfig) -> int:
-    entries, findings = _catalog_entries(config.parties)
-    cat.write_catalog(config.output_path, entries, config.format)
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    reps = [inequality_from_sign_function(c.representative)
+            for c in classify(args.parties).canonical_classes]
+    entries, findings = _certified_entries(reps, [True] * len(reps))
+    cat.write_catalog(args.output_path, entries, args.format)
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    report = classify(config.parties)
-    cat.write_json(config.output_path, cat.classification_dict(report))
+def _cmd_classify(args: argparse.Namespace) -> int:
+    report = classify(args.parties)
+    cat.write_json(args.output_path, cat.classification_dict(report))
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    entries = _read_entries(config.input_path)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    entries = _read_entries(args.input_path)
     results = []
     findings = False
     for index, entry in enumerate(entries):
         ineq = cat.entry_inequality(entry)
         stored = cat.entry_certificate(entry, index)
-        coeffs_ok = _coeffs_ok(config.command, index, ineq)
+        coeffs_ok = _coeffs_ok(args.command, index, ineq)
         bounds = lhv_max(ineq)
         bound_ok = bounds.maximum == entry["bound"] and bounds.minimum == -entry["bound"]
         try:
@@ -178,50 +167,43 @@ def _cmd_verify(config: RunConfig) -> int:
                 "pass": ok,
             }
         )
-    if config.format == "csv":
-        config.output_path.write_text(cat.records_csv(results), encoding="utf-8")
+    if args.format == "csv":
+        args.output_path.write_text(cat.records_csv(results), encoding="utf-8")
     else:
-        cat.write_json(config.output_path, results)
+        cat.write_json(args.output_path, results)
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
-def _cmd_violate(config: RunConfig) -> int:
-    entries = _read_entries(config.input_path)
+def _cmd_violate(args: argparse.Namespace) -> int:
+    entries = _read_entries(args.input_path)
     findings = False
     for index, entry in enumerate(entries):
         ineq = cat.entry_inequality(entry)
-        if not _coeffs_ok(config.command, index, ineq):
+        if not _coeffs_ok(args.command, index, ineq):
             findings = True
-        report = seesaw_maximize(ineq, restarts=config.restarts, seed=config.seed)
-        entry["quantum"] = cat.quantum_block(report, config.seed, config.restarts)
-    cat.write_json(config.output_path, entries)
+        report = seesaw_maximize(ineq, restarts=args.restarts, seed=args.seed)
+        entry["quantum"] = cat.quantum_block(report, args.seed, args.restarts)
+    cat.write_json(args.output_path, entries)
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
-def _cmd_reduce(config: RunConfig) -> int:
-    reduction = two_setting_reduction(config.parties)
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    reduction = two_setting_reduction(args.parties)
     flags = _canonical_flags([ineq.provenance for ineq in reduction])
-    entries = []
-    findings = False
-    for ineq, canonical in zip(reduction, flags):
-        cert = certify_tightness(ineq)
-        bounds = lhv_max(ineq)
-        entries.append(cat.inequality_entry(ineq, cert, canonical=canonical))
-        if not cert.tight or bounds.maximum != ineq.bound:
-            findings = True
-    cat.write_catalog(config.output_path, entries, config.format)
+    entries, findings = _certified_entries(reduction, flags)
+    cat.write_catalog(args.output_path, entries, args.format)
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
-def _cmd_lift(config: RunConfig) -> int:
-    entries = _read_entries(config.input_path)
+def _cmd_lift(args: argparse.Namespace) -> int:
+    entries = _read_entries(args.input_path)
     findings = False
     for index, entry in enumerate(entries):
         ineq = cat.entry_inequality(entry)
-        if not _coeffs_ok(config.command, index, ineq):
+        if not _coeffs_ok(args.command, index, ineq):
             findings = True
         entry["lifted"] = cat.lifted_block(lift(ineq))
-    cat.write_json(config.output_path, entries)
+    cat.write_json(args.output_path, entries)
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
@@ -239,41 +221,32 @@ _NEEDS_INPUT = ("verify", "violate", "lift")
 _CSV_CAPABLE = ("enumerate", "reduce", "verify")
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    if config.command in _NEEDS_PARTIES:
-        low, high = _PARTIES_RANGE[config.command]
-        if config.parties is None or not low <= config.parties <= high:
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line (see build_parser); returns the
+    process exit status."""
+    if args.command in _NEEDS_PARTIES:
+        low, high = _PARTIES_RANGE[args.command]
+        if args.parties is None or not low <= args.parties <= high:
             print(
-                f"bellfacets {config.command}: --parties must be in [{low}, {high}]",
+                f"bellfacets {args.command}: --parties must be in [{low}, {high}]",
                 file=sys.stderr,
             )
             return EXIT_ERROR
-    if config.command in _NEEDS_INPUT and config.input_path is None:
-        print(f"bellfacets {config.command}: --in is required", file=sys.stderr)
+    if args.command in _NEEDS_INPUT and args.input_path is None:
+        print(f"bellfacets {args.command}: --in is required", file=sys.stderr)
         return EXIT_ERROR
-    if config.format == "csv" and config.command not in _CSV_CAPABLE:
-        print(f"bellfacets {config.command}: csv format is not supported", file=sys.stderr)
+    if args.format == "csv" and args.command not in _CSV_CAPABLE:
+        print(f"bellfacets {args.command}: csv format is not supported", file=sys.stderr)
         return EXIT_ERROR
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (OSError, ValueError, UnsupportedSize, KeyError) as exc:
-        print(f"bellfacets {config.command}: {exc}", file=sys.stderr)
+        print(f"bellfacets {args.command}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        parties=args.parties,
-        input_path=args.input_path,
-        output_path=args.output_path,
-        seed=args.seed,
-        restarts=args.restarts,
-        format=args.format,
-    )
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -62,32 +62,14 @@ def _check_parties(parties: int) -> None:
         raise ValueError(f"parties must be in [{MIN_PARTIES}, {MAX_PARTIES}], got {parties}")
 
 
-@dataclass(frozen=True)
-class VariableAssignment:
-    """One +/-1 value for each of the 2N product variables, bit-packed."""
-
-    parties: int
-    bits: int
-
-    def __post_init__(self):
-        _check_parties(self.parties)
-        if not 0 <= self.bits < table_size(self.parties):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for {self.parties} parties")
-
-    @classmethod
-    def from_values(cls, values: Iterable[int]) -> "VariableAssignment":
-        vals = tuple(values)
-        if len(vals) % 2 or not all(v in (-1, 1) for v in vals):
-            raise ValueError("need an even number of +/-1 values")
-        bits = sum(1 << j for j, v in enumerate(vals) if v == -1)
-        return cls(len(vals) // 2, bits)
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(1 - 2 * ((self.bits >> j) & 1) for j in range(2 * self.parties))
-
-    def value(self, variable: int) -> int:
-        """Value of variable index j (2i = observer i's first, 2i+1 its second)."""
-        return 1 - 2 * ((self.bits >> variable) & 1)
+@lru_cache(maxsize=None)
+def _pair_codes(parties: int) -> np.ndarray:
+    """Observer i's pair code u + 2w (bits 2i and 2i+1) of every assignment,
+    shape (2^(2N), N); bit u set means its first variable is -1."""
+    _check_parties(parties)
+    codes = np.arange(table_size(parties))[:, None] >> 2 * np.arange(parties) & 3
+    codes.setflags(write=False)
+    return codes
 
 
 @dataclass(frozen=True)
@@ -140,9 +122,6 @@ class Monomial:
                 raise ValueError(f"setting must be 0, 1 or 2, got {n}")
         return cls(len(settings), subset)
 
-    def character(self, assignment: VariableAssignment) -> int:
-        return 1 - 2 * (bin(self.subset & assignment.bits).count("1") & 1)
-
 
 @dataclass(frozen=True)
 class SignFunction:
@@ -172,12 +151,9 @@ class SignFunction:
     @classmethod
     def from_function(cls, parties: int, fn: Callable[..., int]) -> "SignFunction":
         """Build the table by evaluating fn on every assignment's variable values."""
-        vals = [fn(*VariableAssignment(parties, k).values()) for k in range(table_size(parties))]
-        return cls.from_values(parties, vals)
-
-    def value(self, assignment: VariableAssignment | int) -> int:
-        bits = assignment.bits if isinstance(assignment, VariableAssignment) else assignment
-        return 1 - 2 * ((self.table >> bits) & 1)
+        _check_parties(parties)
+        bits = np.arange(table_size(parties))[:, None] >> np.arange(2 * parties) & 1
+        return cls.from_values(parties, [fn(*row) for row in (1 - 2 * bits).tolist()])
 
     def values(self) -> np.ndarray:
         """The table as an int8 array of +/-1, index = packed assignment."""
@@ -279,9 +255,8 @@ def _block_indices(parties: int) -> np.ndarray:
     """Entry indices of every observer's local blocks, shape (N, 4, 4^(N-1)):
     row i holds observer i's pair codes u + 2w = 0, 3, 1, 2, i.e. (+,+),
     (-,-), (+,-), (-,+), for each assignment of the other observers."""
-    cube = np.arange(table_size(parties)).reshape((4,) * parties)  # axis 0 is observer N-1
-    index = np.stack([np.moveaxis(cube, parties - 1 - i, 0).reshape(4, -1)[[0, 3, 1, 2]]
-                      for i in range(parties)])
+    by_code = np.argsort(_pair_codes(parties).T, axis=1, kind="stable")  # ascending within a code
+    index = by_code.reshape(parties, 4, -1)[:, [0, 3, 1, 2]]
     index.setflags(write=False)
     return index
 

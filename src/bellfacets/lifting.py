@@ -1,9 +1,10 @@
 """Reading the three-setting inequalities as constraints on fuller data.
 
 Substituting 1 for every observer's reference-setting outcome turns a vertex
-into a *lifted vertex* (1, m1, m2) x ... whose components are, in order of
-how many observers participate: the normalization constant, every single
-observer's average, and every correlation of two or more observers.  A
+into a *lifted vertex* (1, m1, m2) x ..., the +1-sign row 2v of
+``vertex_matrix``.  Its components are, in order of how many observers
+participate: the normalization constant, every single observer's average,
+and every correlation of two or more observers.  A
 three-setting facet therefore doubles as an inequality on marginals plus
 two-setting correlations (a CH-type constraint); its sharp bounds over the
 2^(2N) lifted vertices are found by brute force and may be strictly inside
@@ -17,45 +18,12 @@ first variable reproduce the complete two-setting family: there are exactly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
 from .enumeration import UnsupportedSize
-from .fourier import SignFunction, is_admissible, table_size
-from .polytope import BellInequality, inequality_from_sign_function
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedVertex:
-    """Product tensor with each observer's first slot pinned to 1."""
-
-    parties: int
-    outcomes: tuple[tuple[int, int], ...]
-    tensor: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def lifted_vertices(parties: int) -> tuple[LiftedVertex, ...]:
-    """All 2^(2N) lifted vertices, packed-bit order (bit 2i: m1_i = -1)."""
-    out = []
-    for bits in range(table_size(parties)):
-        outcomes = tuple(
-            (1 - 2 * (bits >> (2 * i) & 1), 1 - 2 * (bits >> (2 * i + 1) & 1))
-            for i in range(parties)
-        )
-        factors = [np.array([1, m1, m2], dtype=np.int64) for m1, m2 in outcomes]
-        tensor = reduce(np.multiply.outer, factors)
-        tensor.setflags(write=False)
-        out.append(LiftedVertex(parties, outcomes, tensor))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def lifted_matrix(parties: int) -> np.ndarray:
-    mat = np.stack([v.tensor.ravel() for v in lifted_vertices(parties)])
-    mat.setflags(write=False)
-    return mat
+from .fourier import SignFunction, _bit_tables, _pair_codes, is_admissible
+from .polytope import BellInequality, inequality_from_sign_function, vertex_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +48,7 @@ class LiftedInequality:
 def lift(ineq: BellInequality) -> LiftedInequality:
     """Reinterpret setting 0 as the substituted constant and re-bound."""
     parties = ineq.parties
-    values = lifted_matrix(parties) @ ineq.coeffs.ravel()
+    values = vertex_matrix(parties)[0::2] @ ineq.coeffs.ravel()
     low, high = int(values.min()), int(values.max())
     constant = int(ineq.coeffs[(0,) * parties])
     marginals = []
@@ -115,16 +83,11 @@ def two_setting_reduction(parties: int) -> list[BellInequality]:
     """
     if not 2 <= parties <= 3:
         raise UnsupportedSize(f"two-setting reduction is desk-scale for N in (2, 3), got {parties}")
-    n = table_size(parties)
-    first_index = [
-        sum(((k >> (2 * i)) & 1) << i for i in range(parties)) for k in range(n)
-    ]
+    # bit k of a table is the bit of its code at assignment k's first variables
+    first = (_pair_codes(parties) & 1) << np.arange(parties)
+    codes = np.arange(1 << (1 << parties))[:, None]
     out = []
-    for code in range(1 << (1 << parties)):
-        table = 0
-        for k in range(n):
-            if code >> first_index[k] & 1:
-                table |= 1 << k
+    for table in _bit_tables(codes >> first.sum(axis=1) & 1):
         s = SignFunction(parties, table)
         if not is_admissible(s):
             raise RuntimeError(f"first-variable function {s.to_text()} is not admissible")

@@ -28,12 +28,12 @@ so one elimination per observer count serves them all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fourier import SignFunction, VariableAssignment, _fwht, is_admissible, table_size
+from .fourier import SignFunction, _fwht, _pair_codes, is_admissible, table_size
 
 
 class NotAdmissible(ValueError):
@@ -44,105 +44,18 @@ class BoundNotAttained(ValueError):
     """No vertex reaches the stated bound; not a face of the polytope."""
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """One +/-1 outcome per (observer, setting)."""
-
-    parties: int
-    outcomes: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        if len(self.outcomes) != self.parties:
-            raise ValueError("need one outcome triple per observer")
-        if any(m not in (-1, 1) for triple in self.outcomes for m in triple):
-            raise ValueError("outcomes must be +/-1")
-
-
-def enumerate_strategies(parties: int) -> Iterator[DeterministicStrategy]:
-    """All 2^(3N) deterministic strategies, in packed-bit order."""
-    for bits in range(1 << (3 * parties)):
-        outcomes = tuple(
-            tuple(1 - 2 * (bits >> (3 * i + n) & 1) for n in range(3))
-            for i in range(parties)
-        )
-        yield DeterministicStrategy(parties, outcomes)
-
-
-@dataclass(frozen=True, eq=False)
-class Vertex:
-    """Extreme point of the correlation polytope: a signed product tensor."""
-
-    assignment: VariableAssignment
-    sign: int
-    tensor: np.ndarray
-
-
-def vertex_tensor(assignment: VariableAssignment, sign: int) -> Vertex:
-    """x * (1, u_i, w_i) outer product across observers; entries +/-1."""
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +/-1")
-    factors = [
-        np.array([1, assignment.value(2 * i), assignment.value(2 * i + 1)], dtype=np.int64)
-        for i in range(assignment.parties)
-    ]
-    tensor = sign * reduce(np.multiply.outer, factors)
-    tensor.setflags(write=False)
-    return Vertex(assignment, sign, tensor)
-
-
-@lru_cache(maxsize=None)
-def all_vertices(parties: int) -> tuple[Vertex, ...]:
-    """The 2^(2N+1) vertices, assignment-major then sign (+1 before -1)."""
-    out = []
-    for bits in range(table_size(parties)):
-        for sign in (1, -1):
-            out.append(vertex_tensor(VariableAssignment(parties, bits), sign))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def vertex_matrix(parties: int) -> np.ndarray:
-    """Row-stacked flattened vertex tensors, aligned with all_vertices."""
-    mat = np.stack([v.tensor.ravel() for v in all_vertices(parties)])
+    """The 2^(2N+1) vertices as flattened (3,)*N tensors, one row each:
+    row 2v is K[v] = (1, u_0, w_0) x ... x (1, u_{N-1}, w_{N-1}) for
+    assignment v, row 2v+1 is -K[v]."""
+    # (1, u, w) for pair code u + 2w = 0, 1, 2, 3
+    factors = np.array([[1, 1, 1], [1, -1, 1], [1, 1, -1], [1, -1, -1]], dtype=np.int64)
+    settings = np.arange(3 ** parties)[:, None] // 3 ** np.arange(parties - 1, -1, -1) % 3
+    rows = factors[_pair_codes(parties)[:, None, :], settings].prod(axis=-1)
+    mat = np.stack((rows, -rows), axis=1).reshape(-1, 3 ** parties)
     mat.setflags(write=False)
     return mat
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationTensor:
-    """Correlation function values over all 3^N settings tuples."""
-
-    parties: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        expected = (3,) * self.parties
-        if self.entries.shape != expected:
-            raise ValueError(f"entries must have shape {expected}")
-        if np.any(np.abs(self.entries) > 1 + 1e-9):
-            raise ValueError("correlation values must lie in [-1, 1]")
-
-
-def strategy_to_correlations(strategy: DeterministicStrategy) -> CorrelationTensor:
-    """Outer product of per-observer outcome triples."""
-    factors = [np.array(t, dtype=np.int64) for t in strategy.outcomes]
-    entries = reduce(np.multiply.outer, factors).astype(np.float64)
-    entries.setflags(write=False)
-    return CorrelationTensor(strategy.parties, entries)
-
-
-def strategy_to_vertex(strategy: DeterministicStrategy) -> Vertex:
-    """The vertex a strategy lands on: x = prod of reference outcomes,
-    u_i, w_i = reference outcome times setting-1/setting-2 outcome."""
-    sign = 1
-    bits = 0
-    for i, (m0, m1, m2) in enumerate(strategy.outcomes):
-        sign *= m0
-        if m0 * m1 == -1:
-            bits |= 1 << (2 * i)
-        if m0 * m2 == -1:
-            bits |= 1 << (2 * i + 1)
-    return vertex_tensor(VariableAssignment(strategy.parties, bits), sign)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,16 +76,13 @@ class BellInequality:
         if self.coeffs.shape != (3,) * self.parties:
             raise ValueError(f"coeffs must have shape {(3,) * self.parties}")
 
-    def evaluate(self, correlations: CorrelationTensor) -> float:
-        return float((self.coeffs * correlations.entries).sum())
-
 
 @lru_cache(maxsize=None)
 def _settings_placement(parties: int) -> tuple[np.ndarray, np.ndarray]:
     """The variable subsets that address a settings tuple, and that tuple's
     flat index in the (3,)*N tensor.  Observer i's pair code u + 2w is its
     setting, except code 3: a local product, which addresses none."""
-    codes = np.arange(table_size(parties))[:, None] >> 2 * np.arange(parties) & 3
+    codes = _pair_codes(parties)
     keep = (codes < 3).all(axis=1)
     return np.flatnonzero(keep), codes[keep] @ 3 ** np.arange(parties - 1, -1, -1)
 
@@ -201,8 +111,9 @@ def lhv_max(ineq: BellInequality) -> LhvBounds:
 
 @lru_cache(maxsize=None)
 def _strategy_matrix(parties: int) -> np.ndarray:
-    """Flattened correlation tensors of all strategies, in the order of
-    enumerate_strategies, built from the strategy bits (not from vertices)."""
+    """Flattened correlation tensors of all 2^(3N) deterministic strategies,
+    built from the strategy bits, not from vertices: row b has observer i's
+    outcome at setting n equal to 1 - 2 * (b >> (3i + n) & 1)."""
     bits = np.arange(1 << (3 * parties), dtype=np.int64)
     shifts = 3 * np.arange(parties)[:, None] + np.arange(3)
     outcomes = 1 - 2 * (bits[:, None, None] >> shifts & 1)  # (strategy, observer, setting)
@@ -218,16 +129,6 @@ def lhv_max_by_strategies(ineq: BellInequality) -> LhvBounds:
     route used to cross-check the vertex scan."""
     values = _strategy_matrix(ineq.parties) @ ineq.coeffs.ravel()
     return LhvBounds(int(values.max()), int(values.min()))
-
-
-def canonical_coefficient(
-    correlations: CorrelationTensor, s: SignFunction, assignment: VariableAssignment
-) -> float:
-    """Expansion weight of E on the basis vertex at this assignment:
-    (1/2^(2N)) <V_{v, s(v)}, E>.  Summed over all assignments this equals
-    <coeffs, E> / 2^(2N)."""
-    vertex = vertex_tensor(assignment, s.value(assignment))
-    return float((vertex.tensor * correlations.entries).sum()) / table_size(s.parties)
 
 
 # The largest prime below 2^31: residues multiply without overflow in int64.

@@ -24,7 +24,6 @@ from bellfacets import (
     vertex_matrix,
 )
 from bellfacets.cli import EXIT_OK, main
-from bellfacets.lifting import lifted_matrix
 
 ROOT2 = np.sqrt(2.0)
 
@@ -193,10 +192,10 @@ def test_criterion_09_seesaw_reference_values(chsh_inequality, mermin_inequality
 
 def test_criterion_10_ch_lifting(chsh_inequality):
     lifted = lift(chsh_inequality)
-    values = lifted_matrix(2) @ chsh_inequality.coeffs.ravel()
+    values = vertex_matrix(2)[0::2] @ chsh_inequality.coeffs.ravel()
     attained = lifted.bounds == (int(values.min()), int(values.max()))
     subset_ok = all(
-        np.abs(lifted_matrix(2) @ i.coeffs.ravel()).max() <= 16
+        np.abs(vertex_matrix(2)[0::2] @ i.coeffs.ravel()).max() <= 16
         for i in _inequalities(2, (s.table for s in enumerate_admissible(2)))
     )
     degenerate = lift(inequality_from_sign_function(SignFunction(2, 0)))

@@ -8,12 +8,14 @@ import pytest
 
 import bellfacets
 from bellfacets import (
+    LhvBounds,
     SignFunction,
     canonicalize,
     enumerate_admissible,
     inequality_from_sign_function,
     symmetry_group,
 )
+from bellfacets import cli
 from bellfacets.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, _canonical_flags, main
 
 SRC = str(Path(bellfacets.__file__).resolve().parents[1])
@@ -140,6 +142,19 @@ def test_reduce_two_observers(tmp_path):
     entries = json.loads(out.read_text())
     assert len(entries) == 16
     assert all(e["tight"] for e in entries)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "reduce"])
+@pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
+def test_lhv_bound_off_by_one_is_a_finding(command, shift, tmp_path, monkeypatch):
+    exact = cli.lhv_max
+    monkeypatch.setattr(
+        cli, "lhv_max",
+        lambda ineq: LhvBounds(exact(ineq).maximum - shift[0], exact(ineq).minimum + shift[1]),
+    )
+    out = tmp_path / "out.json"
+    assert run_cli(command, "--parties", 2, "--out", out) == EXIT_FINDINGS
+    assert len(json.loads(out.read_text())) == {"enumerate": 6, "reduce": 16}[command]
 
 
 def test_canonical_flags_match_canonicalize(census3):

@@ -8,14 +8,13 @@ from bellfacets import (
     Monomial,
     NotSignValued,
     SignFunction,
-    VariableAssignment,
     fourier_transform,
     inverse_transform,
     is_admissible,
     is_factorable,
     table_size,
 )
-from bellfacets.fourier import _fwht, _local_block_ok
+from bellfacets.fourier import _fwht, _local_block_ok, _pair_codes
 
 
 def naive_spectrum(s):
@@ -40,22 +39,28 @@ def random_sign_function(parties, rng):
 
 
 def test_assignment_round_trip():
-    for bits in range(16):
-        v = VariableAssignment(2, bits)
-        assert VariableAssignment.from_values(v.values()) == v
+    for parties in (2, 3, 4):
+        codes = _pair_codes(parties)
+        assert codes.shape == (4 ** parties, parties) and not codes.flags.writeable
+        packed = (codes << 2 * np.arange(parties)).sum(axis=1)
+        assert (packed == np.arange(4 ** parties)).all()
 
 
 def test_assignment_rejects_stray_bits():
     with pytest.raises(ValueError):
-        VariableAssignment(2, 1 << 16)
-    with pytest.raises(ValueError):
-        VariableAssignment(5, 0)
+        SignFunction(2, 1 << 16)
+    for parties in (1, 5):
+        with pytest.raises(ValueError):
+            _pair_codes(parties)
+        with pytest.raises(ValueError):
+            SignFunction.from_function(parties, lambda *values: 1)
 
 
 def test_assignment_values():
-    v = VariableAssignment.from_values([-1, 1, 1, -1])
-    assert v.bits == 0b1001
-    assert v.value(0) == -1 and v.value(3) == -1 and v.value(1) == 1
+    seen = []
+    SignFunction.from_function(2, lambda *values: seen.append(values) or 1)
+    assert seen[0b1001] == (-1, 1, 1, -1)
+    assert _pair_codes(2)[0b1001].tolist() == [1, 2]  # u_0 = -1; w_1 = -1
 
 
 # ── monomials ───────────────────────────────────────────────────────────────

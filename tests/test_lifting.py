@@ -4,7 +4,6 @@ import pytest
 from bellfacets import (
     SignFunction,
     UnsupportedSize,
-    VariableAssignment,
     canonicalize,
     certify_tightness,
     chsh_pattern,
@@ -12,33 +11,31 @@ from bellfacets import (
     inequality_from_sign_function,
     is_factorable,
     lift,
-    lifted_vertices,
     two_setting_reduction,
-    vertex_tensor,
+    vertex_matrix,
 )
 from bellfacets import lifting
-from bellfacets.lifting import lifted_matrix
 
 
 # ── lifted vertices ─────────────────────────────────────────────────────────
 
 
 def test_lifted_vertex_count_and_normalization():
-    vertices = lifted_vertices(2)
-    assert len(vertices) == 16
-    assert len({v.tensor.tobytes() for v in vertices}) == 16
-    for v in vertices:
-        assert v.tensor[0, 0] == 1
+    lifted = vertex_matrix(2)[0::2]
+    assert len(lifted) == 16
+    assert len({row.tobytes() for row in lifted}) == 16
+    assert (lifted[:, 0] == 1).all()
 
 
 def test_lifted_vertices_are_plain_vertices_with_positive_sign():
-    for bits, lifted in enumerate(lifted_vertices(2)):
-        plain = vertex_tensor(VariableAssignment(2, bits), 1)
-        assert np.array_equal(lifted.tensor, plain.tensor)
+    # reference outcome 1: each observer contributes (1, m1, m2), bit 2i set <=> m1 = -1
+    for bits, row in enumerate(vertex_matrix(2)[0::2]):
+        m = [1 - 2 * (bits >> j & 1) for j in range(4)]
+        assert np.array_equal(row, np.outer([1, m[0], m[1]], [1, m[2], m[3]]).ravel())
 
 
 def test_every_facet_holds_on_lifted_vertices():
-    mat = lifted_matrix(2)
+    mat = vertex_matrix(2)[0::2]
     for s in enumerate_admissible(2):
         values = mat @ inequality_from_sign_function(s).coeffs.ravel()
         assert np.abs(values).max() <= 16
@@ -54,7 +51,7 @@ def test_lift_chsh(chsh_inequality):
     assert lifted.constant == 8
     assert lifted.marginal_coeffs == ((8, 0), (8, 0))
     assert lifted.correlations == (((1, 1), -8),)
-    values = lifted_matrix(2) @ chsh_inequality.coeffs.ravel()
+    values = vertex_matrix(2)[0::2] @ chsh_inequality.coeffs.ravel()
     assert values.min() == -16 and values.max() == 16  # both bounds attained
 
 
@@ -66,7 +63,7 @@ def test_lift_of_constant_term_is_degenerate():
 
 
 def test_uniform_mixture_leaves_only_the_constant(chsh_inequality):
-    values = lifted_matrix(2) @ chsh_inequality.coeffs.ravel()
+    values = vertex_matrix(2)[0::2] @ chsh_inequality.coeffs.ravel()
     assert values.mean() == chsh_inequality.coeffs[0, 0]
 
 
@@ -74,7 +71,7 @@ def test_lift_bounds_attained_for_all_canonical_classes(census2):
     for cls in census2.canonical_classes:
         ineq = inequality_from_sign_function(cls.representative)
         lifted = lift(ineq)
-        values = lifted_matrix(2) @ ineq.coeffs.ravel()
+        values = vertex_matrix(2)[0::2] @ ineq.coeffs.ravel()
         assert lifted.bounds == (int(values.min()), int(values.max()))
         assert -16 <= lifted.bounds[0] <= lifted.bounds[1] <= 16
 
@@ -85,6 +82,18 @@ def test_lift_bounds_attained_for_all_canonical_classes(census2):
 def test_reduction_counts():
     assert len(two_setting_reduction(2)) == 16
     assert len(two_setting_reduction(3)) == 256
+
+
+def test_reduction_tables_match_first_variable_loop():
+    for parties in (2, 3):
+        reference = []
+        for code in range(1 << (1 << parties)):
+            table = 0
+            for k in range(1 << 2 * parties):
+                first = sum((k >> 2 * i & 1) << i for i in range(parties))
+                table |= (code >> first & 1) << k
+            reference.append(table)
+        assert [i.provenance.table for i in two_setting_reduction(parties)] == reference
 
 
 def test_reduction_rejects_large_sizes():

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 import pytest
@@ -10,28 +10,19 @@ from hypothesis import strategies as st
 from bellfacets import (
     BellInequality,
     BoundNotAttained,
-    CorrelationTensor,
-    DeterministicStrategy,
     Monomial,
     NotAdmissible,
     SignFunction,
     SymmetryElement,
-    VariableAssignment,
-    all_vertices,
-    canonical_coefficient,
     certify_tightness,
     enumerate_admissible,
-    enumerate_strategies,
     fourier_transform,
     fraction_free_rank,
     inequality_from_sign_function,
     lhv_max,
     lhv_max_by_strategies,
-    strategy_to_correlations,
-    strategy_to_vertex,
     two_setting_reduction,
     vertex_matrix,
-    vertex_tensor,
 )
 from bellfacets.polytope import _WITNESS_PRIME, _bareiss_rank, _strategy_matrix
 
@@ -44,25 +35,42 @@ def inequalities2():
 # ── vertices ────────────────────────────────────────────────────────────────
 
 
+def _vertex_row(parties, bits, sign):
+    """Reference vertex: sign * (1, u_0, w_0) x ... x (1, u_{N-1}, w_{N-1}),
+    with u_i, w_i read from bits 2i and 2i+1 of the assignment."""
+    factors = [np.array([1, 1 - 2 * (bits >> 2 * i & 1), 1 - 2 * (bits >> 2 * i + 1 & 1)])
+               for i in range(parties)]
+    return sign * reduce(np.multiply.outer, factors).ravel()
+
+
 def test_all_plus_vertex_tensor():
-    v = vertex_tensor(VariableAssignment(2, 0), 1)
-    assert (v.tensor == 1).all()
-    assert v.tensor.shape == (3, 3)
+    row = vertex_matrix(2)[0]
+    assert row.shape == (9,)
+    assert (row == 1).all()
 
 
 def test_single_flip_negates_one_row():
-    v = vertex_tensor(VariableAssignment.from_values([-1, 1, 1, 1]), 1)
-    assert (v.tensor[1, :] == -1).all()
-    assert (v.tensor[[0, 2], :] == 1).all()
+    tensor = vertex_matrix(2)[2 * 0b0001].reshape(3, 3)  # observer 0's first variable is -1
+    assert (tensor[1, :] == -1).all()
+    assert (tensor[[0, 2], :] == 1).all()
 
 
 def test_vertex_normalization_entry_and_count():
-    vertices = all_vertices(2)
-    assert len(vertices) == 32
-    assert len({v.tensor.tobytes() for v in vertices}) == 32
-    for v in vertices:
-        assert v.tensor[0, 0] == v.sign
-        assert set(np.unique(v.tensor)) <= {-1, 1}
+    mat = vertex_matrix(2)
+    assert mat.shape == (32, 9) and mat.dtype == np.int64 and not mat.flags.writeable
+    assert len({row.tobytes() for row in mat}) == 32
+    assert (mat[:, 0] == np.tile([1, -1], 16)).all()  # the entry at settings (0, 0) is the sign
+    assert set(np.unique(mat)) <= {-1, 1}
+
+
+def test_vertex_rows_match_the_product_formula():
+    rng = np.random.default_rng(13)
+    for parties in (2, 3, 4):
+        mat = vertex_matrix(parties)
+        assert mat.shape == (2 * 4 ** parties, 3 ** parties)
+        for bits in rng.integers(0, 4 ** parties, size=12).tolist():
+            assert np.array_equal(mat[2 * bits], _vertex_row(parties, bits, 1))
+            assert np.array_equal(mat[2 * bits + 1], _vertex_row(parties, bits, -1))
 
 
 def test_unit_resolution_spot_checks():
@@ -79,32 +87,40 @@ def test_unit_resolution_spot_checks():
 # ── strategies ──────────────────────────────────────────────────────────────
 
 
+def _strategy_outcomes(parties, bits):
+    """Observer i's outcomes at settings 0, 1, 2: bits 3i, 3i+1, 3i+2 (set = -1)."""
+    return [[1 - 2 * (bits >> (3 * i + n) & 1) for n in range(3)] for i in range(parties)]
+
+
+def _strategy_vertex_row(parties, bits):
+    """The vertex row a strategy lands on: sign x = product of reference
+    outcomes; u_i, w_i = reference outcome times setting-1/setting-2 outcome."""
+    sign, assignment = 1, 0
+    for i, (m0, m1, m2) in enumerate(_strategy_outcomes(parties, bits)):
+        sign *= m0
+        assignment |= (m0 * m1 == -1) << 2 * i | (m0 * m2 == -1) << 2 * i + 1
+    return 2 * assignment + (sign == -1)
+
+
 def test_all_plus_strategy_correlations():
-    d = DeterministicStrategy(2, ((1, 1, 1), (1, 1, 1)))
-    assert (strategy_to_correlations(d).entries == 1).all()
+    assert (_strategy_matrix(2)[0] == 1).all()
 
 
 def test_strategy_change_of_variables():
-    d = DeterministicStrategy(2, ((1, -1, 1), (1, 1, -1)))
-    v = strategy_to_vertex(d)
-    assert v.sign == 1
-    assert v.assignment.values() == (-1, 1, 1, -1)
-    assert np.array_equal(strategy_to_correlations(d).entries, v.tensor.astype(float))
+    bits = 1 << 1 | 1 << 5
+    assert _strategy_outcomes(2, bits) == [[1, -1, 1], [1, 1, -1]]
+    assert _strategy_vertex_row(2, bits) == 2 * 0b1001  # u_0 = w_1 = -1, sign +1
+    assert np.array_equal(_strategy_matrix(2)[bits], vertex_matrix(2)[2 * 0b1001])
 
 
 def test_strategies_double_cover_vertices():
-    hits = Counter()
-    for d in enumerate_strategies(2):
-        v = strategy_to_vertex(d)
-        assert np.array_equal(strategy_to_correlations(d).entries, v.tensor.astype(float))
-        hits[(v.assignment.bits, v.sign)] += 1
-    assert len(hits) == 32
-    assert set(hits.values()) == {2}  # 2^(N-1)-to-1 for N=2
-
-
-def test_correlation_tensor_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        CorrelationTensor(2, np.full((3, 3), 1.5))
+    for parties in (2, 3, 4):
+        row_of = {row.tobytes(): k for k, row in enumerate(vertex_matrix(parties))}
+        hits = Counter(row_of[row.tobytes()] for row in _strategy_matrix(parties))
+        assert len(hits) == 2 ** (2 * parties + 1)
+        assert set(hits.values()) == {2 ** (parties - 1)}
+    for bits, row in enumerate(_strategy_matrix(2)):
+        assert np.array_equal(row, vertex_matrix(2)[_strategy_vertex_row(2, bits)])
 
 
 # ── inequality generation ───────────────────────────────────────────────────
@@ -192,10 +208,10 @@ def test_chsh_classical_bounds(chsh_inequality):
 @pytest.mark.parametrize("parties", [2, 3, 4])
 def test_strategy_matrix_rows_are_strategy_correlations(parties):
     rows = _strategy_matrix(parties)
-    strategies = list(enumerate_strategies(parties))
-    assert rows.shape == (len(strategies), 3 ** parties)
-    for row, d in zip(rows, strategies):
-        assert np.array_equal(row, strategy_to_correlations(d).entries.ravel())
+    assert rows.shape == (1 << 3 * parties, 3 ** parties)
+    for bits, row in enumerate(rows):
+        triples = [np.array(t) for t in _strategy_outcomes(parties, bits)]
+        assert np.array_equal(row, reduce(np.multiply.outer, triples).ravel())
 
 
 def test_both_bound_routes_agree_on_all_two_observer_inequalities(inequalities2):
@@ -213,7 +229,7 @@ def test_vertex_value_dichotomy(inequalities2):
 
 def test_convex_combinations_respect_bound(chsh_inequality):
     rng = np.random.default_rng(3)
-    vertices = all_vertices(2)
+    vertices = vertex_matrix(2)
     coeffs = [Fraction(int(c)) for c in chsh_inequality.coeffs.ravel()]
     for _ in range(100):
         picks = rng.integers(0, len(vertices), size=5)
@@ -222,7 +238,7 @@ def test_convex_combinations_respect_bound(chsh_inequality):
         weights = [w / total for w in raw]
         acc = [Fraction(0)] * 9
         for w, p in zip(weights, picks):
-            flat = vertices[int(p)].tensor.ravel()
+            flat = vertices[int(p)]
             for j in range(9):
                 acc[j] += w * Fraction(int(flat[j]))
         value = sum(c * e for c, e in zip(coeffs, acc))
@@ -232,36 +248,26 @@ def test_convex_combinations_respect_bound(chsh_inequality):
 # ── canonical expansion coefficients ────────────────────────────────────────
 
 
+def _expansion_weights(s, E):
+    """Weight of E on each basis vertex s(v) K[v]: s(v) <K[v], E> / 2^(2N)."""
+    return s.values() * (vertex_matrix(s.parties)[0::2] @ E.ravel()) / (1 << 2 * s.parties)
+
+
 def test_canonical_coefficients_saturate_on_basis_vertices(chsh_sign):
-    assignment = VariableAssignment(2, 5)
-    vertex = vertex_tensor(assignment, chsh_sign.value(assignment))
-    E = CorrelationTensor(2, vertex.tensor.astype(float))
-    total = sum(
-        canonical_coefficient(E, chsh_sign, VariableAssignment(2, bits))
-        for bits in range(16)
-    )
-    assert total == pytest.approx(1.0, abs=1e-12)
-    negated = CorrelationTensor(2, -vertex.tensor.astype(float))
-    total_neg = sum(
-        canonical_coefficient(negated, chsh_sign, VariableAssignment(2, bits))
-        for bits in range(16)
-    )
-    assert total_neg == pytest.approx(-1.0, abs=1e-12)
+    basis = int(chsh_sign.values()[5]) * vertex_matrix(2)[2 * 5].astype(float)
+    assert _expansion_weights(chsh_sign, basis).sum() == pytest.approx(1.0, abs=1e-12)
+    assert _expansion_weights(chsh_sign, -basis).sum() == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_canonical_coefficients_vanish_on_zero_tensor(chsh_sign):
-    E = CorrelationTensor(2, np.zeros((3, 3)))
-    for bits in range(16):
-        assert canonical_coefficient(E, chsh_sign, VariableAssignment(2, bits)) == 0.0
+    assert (_expansion_weights(chsh_sign, np.zeros((3, 3))) == 0.0).all()
 
 
 def test_canonical_sum_equals_normalized_inequality_value(chsh_sign, chsh_inequality):
     rng = np.random.default_rng(8)
-    E = CorrelationTensor(2, rng.uniform(-1, 1, size=(3, 3)))
-    total = sum(
-        canonical_coefficient(E, chsh_sign, VariableAssignment(2, bits)) for bits in range(16)
-    )
-    assert total == pytest.approx(chsh_inequality.evaluate(E) / 16, abs=1e-12)
+    E = rng.uniform(-1, 1, size=(3, 3))
+    total = _expansion_weights(chsh_sign, E).sum()
+    assert total == pytest.approx((chsh_inequality.coeffs * E).sum() / 16, abs=1e-12)
 
 
 # ── tightness certificates ──────────────────────────────────────────────────

@@ -2,6 +2,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellfacets import quantum
 from bellfacets import (
@@ -9,8 +11,10 @@ from bellfacets import (
     NotNormalized,
     ObservableDirection,
     SignFunction,
+    SymmetryElement,
     algebraic_maximum,
     bell_operator,
+    enumerate_admissible,
     evaluate_state,
     inequality_from_sign_function,
     seesaw_maximize,
@@ -310,3 +314,46 @@ def test_seesaw_state_has_canonical_phase(chsh_inequality, mermin_inequality):
             assert np.abs(rephased - report.state).max() < 1e-15
         revalue = evaluate_state(ineq, report.directions, report.state)
         assert revalue == pytest.approx(report.quantum_max, abs=1e-9)
+
+
+# ── symmetry invariance of the see-saw value ────────────────────────────────
+
+# The restart budget and seed are fixed; a relabeling moves the starting
+# points, so the best ratio agrees within a tolerance, not bit for bit.
+INVARIANCE_TOL = 1e-6
+
+
+def _ratio(s):
+    return seesaw_maximize(inequality_from_sign_function(s), restarts=4, seed=0).violation_ratio
+
+
+_elements2 = st.builds(
+    SymmetryElement,
+    st.permutations(range(2)).map(tuple),
+    st.tuples(*[st.booleans()] * 2),
+    st.tuples(*[st.tuples(st.booleans(), st.booleans())] * 2),
+    st.booleans(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, 89), g=_elements2)
+def test_seesaw_ratio_is_symmetry_invariant(index, g):
+    s = sorted(enumerate_admissible(2), key=lambda f: f.table)[index]
+    assert abs(_ratio(g.apply(s)) - _ratio(s)) <= INVARIANCE_TOL
+
+
+def test_seesaw_ratio_is_symmetry_invariant_three_observers(census3):
+    # the five dense classes (algebraic ratio 4) need seconds per see-saw
+    fast = [c.representative for c in census3.canonical_classes
+            if algebraic_maximum(inequality_from_sign_function(c.representative)) < 4 * 64]
+    assert len(fast) == 71
+    rng = np.random.default_rng(29)
+    for index in rng.choice(len(fast), size=3, replace=False).tolist():
+        g = SymmetryElement(
+            tuple(rng.permutation(3).tolist()),
+            tuple(bool(b) for b in rng.integers(0, 2, size=3)),
+            tuple((bool(a), bool(b)) for a, b in rng.integers(0, 2, size=(3, 2))),
+            bool(rng.integers(0, 2)),
+        )
+        assert abs(_ratio(g.apply(fast[index])) - _ratio(fast[index])) <= INVARIANCE_TOL
