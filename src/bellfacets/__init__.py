@@ -48,6 +48,7 @@ from .quantum import (
     bell_operator,
     evaluate_state,
     seesaw_maximize,
+    seesaw_maximize_all,
 )
 from .lifting import (
     LiftedInequality,
@@ -94,6 +95,7 @@ __all__ = [
     "lift",
     "orbit_tables",
     "seesaw_maximize",
+    "seesaw_maximize_all",
     "symmetry_group",
     "table_size",
     "two_setting_reduction",

@@ -114,6 +114,9 @@ def quantum_block(report: QuantumValueReport, seed: int, restarts: int) -> dict[
         "state_im": [float(x) for x in np.imag(report.state)],
         "seed": seed,
         "restarts": restarts,
+        "restarts_used": report.restarts_used,
+        "converged": report.converged,
+        "iterations": len(report.objective_trace) // 2,  # state steps of the reported restart
     }
 
 

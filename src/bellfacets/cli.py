@@ -22,6 +22,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import catalog as cat
 from .enumeration import UnsupportedSize, classify
 from .fourier import SignFunction
@@ -34,8 +36,8 @@ from .polytope import (
     inequality_from_sign_function,
     lhv_max,
 )
-from .quantum import seesaw_maximize
-from .symmetry import orbit_tables
+from .quantum import seesaw_maximize_all
+from .symmetry import orbit_words
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -111,14 +113,16 @@ def _coeffs_ok(command: str, index: int, ineq: BellInequality) -> bool:
 
 
 def _canonical_flags(functions: list[SignFunction]) -> list[bool]:
-    """Whether each function (all of one observer count) is the least table
-    of its orbit, as canonicalize would say, scanning each orbit once."""
-    tables = {s.table for s in functions}
+    """Whether each function (all of one observer count, N <= 3) is the least
+    table of its orbit, as canonicalize would say, scanning each orbit once."""
+    tables = sorted({s.table for s in functions})
     least = {}  # table among `functions` -> least table of its orbit
     for s in functions:
         if s.table not in least:
-            orbit = orbit_tables(s)
-            least.update(dict.fromkeys(orbit & tables, min(orbit)))
+            orbit = orbit_words(s)
+            wanted = np.array(tables, dtype=orbit.dtype)
+            found = orbit[np.minimum(np.searchsorted(orbit, wanted), len(orbit) - 1)] == wanted
+            least.update(dict.fromkeys(wanted[found].tolist(), int(orbit[0])))
     return [least[s.table] == s.table for s in functions]
 
 
@@ -176,15 +180,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_violate(args: argparse.Namespace) -> int:
     entries = _read_entries(args.input_path)
-    findings = False
-    for index, entry in enumerate(entries):
-        ineq = cat.entry_inequality(entry)
-        if not _coeffs_ok(args.command, index, ineq):
-            findings = True
-        report = seesaw_maximize(ineq, restarts=args.restarts, seed=args.seed)
+    inequalities = [cat.entry_inequality(entry) for entry in entries]
+    coeffs_ok = [_coeffs_ok(args.command, index, ineq) for index, ineq in enumerate(inequalities)]
+    reports = seesaw_maximize_all(inequalities, restarts=args.restarts, seed=args.seed)
+    for entry, report in zip(entries, reports):
         entry["quantum"] = cat.quantum_block(report, args.seed, args.restarts)
     cat.write_json(args.output_path, entries)
-    return EXIT_FINDINGS if findings else EXIT_OK
+    return EXIT_OK if all(coeffs_ok) else EXIT_FINDINGS
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -224,19 +226,21 @@ _CSV_CAPABLE = ("enumerate", "reduce", "verify")
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line (see build_parser); returns the
     process exit status."""
-    if args.command in _NEEDS_PARTIES:
-        low, high = _PARTIES_RANGE[args.command]
-        if args.parties is None or not low <= args.parties <= high:
-            print(
-                f"bellfacets {args.command}: --parties must be in [{low}, {high}]",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-    if args.command in _NEEDS_INPUT and args.input_path is None:
-        print(f"bellfacets {args.command}: --in is required", file=sys.stderr)
-        return EXIT_ERROR
-    if args.format == "csv" and args.command not in _CSV_CAPABLE:
-        print(f"bellfacets {args.command}: csv format is not supported", file=sys.stderr)
+    low, high = _PARTIES_RANGE[args.command]
+    if args.command in _NEEDS_PARTIES and (args.parties is None or not low <= args.parties <= high):
+        usage = f"--parties must be in [{low}, {high}]"
+    elif args.command in _NEEDS_INPUT and args.input_path is None:
+        usage = "--in is required"
+    elif args.restarts < 1:
+        usage = "--restarts must be at least 1"
+    elif args.seed < 0:
+        usage = "--seed must be non-negative"
+    elif args.format == "csv" and args.command not in _CSV_CAPABLE:
+        usage = "csv format is not supported"
+    else:
+        usage = None
+    if usage is not None:
+        print(f"bellfacets {args.command}: {usage}", file=sys.stderr)
         return EXIT_ERROR
     try:
         return _COMMANDS[args.command](args)

@@ -13,7 +13,9 @@ The direction step visits the observers in turn; no term holds two settings
 of one observer, so one contraction of g, C and the other observers'
 directions scores all its settings at once, and each takes its normalized
 score.  Both steps are monotone; a decrease beyond rounding raises
-RuntimeError.
+RuntimeError.  The (inequality, restart) rows of one observer count advance
+in lockstep, up to _ROW_BLOCK at a time: one stacked eigh per iteration and
+batched contractions, none of which mixes rows.
 
 See-saw yields lower bounds only; reports label the result as the best value
 found over the requested restarts.  The reported state's first amplitude of
@@ -22,6 +24,7 @@ modulus above 1e-12 is real and positive, which fixes its global phase.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
@@ -37,6 +40,7 @@ _PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 _DEGENERATE_NORM = 1e-12
 _MONOTONE_SLACK = 1e-8
 _ZERO_AMPLITUDE = 1e-12
+_ROW_BLOCK = 64  # rows advanced together; bounds every stacked array
 
 
 class NotNormalized(ValueError):
@@ -73,50 +77,57 @@ class ObservableDirection:
 
 @cache
 def _pauli_basis(parties: int) -> np.ndarray:
-    """sigma_k1 (x) ... (x) sigma_kN for every k, observer 0 slowest; read-only,
-    shape (3^N, 2^N, 2^N)."""
+    """sigma_k1 (x) ... (x) sigma_kN for every k, observer 0 slowest: one read-only row per k
+    of its 4^N complex entries as interleaved (re, im) floats, shape (3^N, 2 * 4^N)."""
     basis = np.ones((1, 1, 1), dtype=np.complex128)
     for _ in range(parties):
         dim = 2 * basis.shape[1]
         basis = np.einsum("aij,bkl->abikjl", basis, _PAULI).reshape(-1, dim, dim)
+    basis = basis.reshape(len(basis), -1).view(np.float64)
     basis.setflags(write=False)
     return basis
+
+
+def _operators(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Bell operators (..., 2^N, 2^N) of coefficient tensors (..., 3, ..., 3) under directions
+    (..., N, 3, 3), in real arithmetic on the basis' (re, im) floats."""
+    parties, lead = dirs.shape[-3], dirs.shape[:-3]
+    coords = coeffs  # becomes T: each step turns the leading settings axis into a trailing component axis
+    for party in range(parties):
+        coords = coords.reshape(*lead, 3, -1).swapaxes(-1, -2) @ dirs[..., party, :, :]
+    flat = coords.reshape(*lead, 1, -1) @ _pauli_basis(parties)
+    return flat.view(np.complex128).reshape(*lead, 2 ** parties, 2 ** parties)
 
 
 def bell_operator(ineq: BellInequality, dirs: ObservableDirection) -> np.ndarray:
     """sum_n g_n  (x)_i (dirs[i][n_i] . sigma), Hermitian on 2^N dimensions."""
     if dirs.parties != ineq.parties:
         raise ValueError("direction set and inequality disagree on observer count")
-    coords = ineq.coeffs  # becomes T: each step turns one settings axis into components
-    for party_dirs in dirs.directions:
-        coords = np.tensordot(coords, party_dirs, axes=(0, 0))
-    basis = _pauli_basis(ineq.parties)
-    dim = basis.shape[1]
-    return (coords.reshape(-1) @ basis.reshape(len(basis), -1)).reshape(dim, dim)
+    return _operators(ineq.coeffs, dirs.directions)
 
 
 def _correlations(state: np.ndarray, parties: int) -> np.ndarray:
-    """C[k] = <state| sigma_k1 (x) ... (x) sigma_kN |state>, shape (3,) * N; real,
-    since every Pauli product is Hermitian."""
-    return np.real(_pauli_basis(parties) @ state @ np.conj(state)).reshape((3,) * parties)
+    """C[..., k] = <state| sigma_k1 (x) ... (x) sigma_kN |state> for states (..., 2^N),
+    shape (...,) + (3,) * N; real, since every Pauli product is Hermitian."""
+    outer = state[..., :, None] * np.conj(state)[..., None, :]  # conjugate of <psi|i><j|psi>
+    flat = outer.reshape(*state.shape[:-1], 1, -1).view(np.float64) @ _pauli_basis(parties).T
+    return flat.reshape(state.shape[:-1] + (3,) * parties)
 
 
-@cache
-def _score_subscripts(parties: int, party: int) -> str:
-    """einsum subscripts of g, the other observers' directions and C, leaving
-    this observer's (setting, component) axes."""
-    settings, comps = "abcdefgh"[:parties], "ijklmnop"[:parties]
-    others = "".join(f",{settings[j]}{comps[j]}" for j in range(parties) if j != party)
-    return f"{settings}{others},{comps}->{settings[party]}{comps[party]}"
-
-
-def _observer_scores(
-    coeffs: np.ndarray, dirs: np.ndarray, corr: np.ndarray, party: int
-) -> np.ndarray:
-    """score[s, k]: the objective's linear coefficient on component k of this
-    observer's setting-s direction, with the state and the other observers fixed."""
-    others = [d for j, d in enumerate(dirs) if j != party]
-    return np.einsum(_score_subscripts(len(dirs), party), coeffs, *others, corr)
+def _observer_scores(coeffs: np.ndarray, dirs: np.ndarray, corr: np.ndarray, party: int) -> np.ndarray:
+    """score[..., s, k]: the objective's linear coefficient on component k of this observer's
+    setting-s direction, with the state and the other observers fixed (coeffs, corr:
+    (...,) + (3,) * N; dirs: (..., N, 3, 3)).  With the other observers' directions as one
+    Kronecker factor D, score = g D C^T, this observer's axis leading in g and C."""
+    parties, lead = dirs.shape[-3], dirs.shape[:-3]
+    others = [dirs[..., j, :, :] for j in range(parties) if j != party]
+    kron = others[0]
+    for d in others[1:]:
+        kron = (kron[..., :, None, :, None] * d[..., None, :, None, :]).reshape(*lead, 3 * kron.shape[-1], -1)
+    axes = list(range(coeffs.ndim))
+    axes.insert(len(lead), axes.pop(len(lead) + party))
+    g, c = (x.transpose(axes).reshape(*lead, 3, -1) for x in (coeffs, corr))
+    return g @ kron @ c.swapaxes(-1, -2)
 
 
 def _canonical_phase(state: np.ndarray) -> np.ndarray:
@@ -161,87 +172,107 @@ class QuantumValueReport:
         return self.violation_ratio > 1 + 1e-9
 
 
-def seesaw_maximize(
-    ineq: BellInequality,
-    restarts: int = 32,
-    seed: int = 0,
-    improvement_threshold: float = 1e-10,
-    max_iterations: int = 10_000,
-) -> QuantumValueReport:
-    """Alternating maximization over state and observable directions.
+def seesaw_maximize(ineq: BellInequality, restarts: int = 32, seed: int = 0,
+                    improvement_threshold: float = 1e-10, max_iterations: int = 10_000) -> QuantumValueReport:
+    """seesaw_maximize_all on one inequality."""
+    return seesaw_maximize_all([ineq], restarts, seed, improvement_threshold, max_iterations)[0]
 
-    Deterministic for a given seed and restart count: restart r draws its
-    initial directions from the r-th spawn of the seed sequence, and ties
-    between restarts keep the earliest.  Stops early once the algebraic
-    maximum is reached, since no later restart could improve on it.
-    """
+
+def seesaw_maximize_all(ineqs: list[BellInequality], restarts: int = 32, seed: int = 0,
+                        improvement_threshold: float = 1e-10,
+                        max_iterations: int = 10_000) -> list[QuantumValueReport]:
+    """Alternating maximization over state and observable directions, one report per
+    inequality, in order.  Deterministic for a given seed and restart count: restart r of
+    every inequality starts from the r-th spawn of the seed sequence, and ties between
+    restarts keep the earliest.  An inequality stops after the first restart that reaches
+    the algebraic maximum, since no later one could improve on it.  Each report depends on
+    its own inequality alone."""
     if restarts < 1:
         raise ValueError("need at least one restart")
-    parties = ineq.parties
-    scale = float(ineq.bound)
-    cap = float(algebraic_maximum(ineq))
+    reports = {}
+    for parties in {ineq.parties for ineq in ineqs}:
+        index = [k for k, ineq in enumerate(ineqs) if ineq.parties == parties]
+        found = _lockstep([ineqs[k] for k in index], restarts, seed, improvement_threshold, max_iterations)
+        reports.update(zip(index, found))
+    return [reports[k] for k in range(len(ineqs))]
 
-    best_value = -np.inf
-    best_dirs: np.ndarray | None = None
-    best_state: np.ndarray | None = None
-    best_converged = False
-    best_trace: tuple[float, ...] = ()
-    restarts_used = 0
 
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        restarts_used += 1
-        rng = np.random.default_rng(child)
-        dirs = rng.normal(size=(parties, 3, 3))
-        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        trace: list[float] = []
-        prev = -np.inf
-        converged = False
-        state = np.zeros(2 ** parties, dtype=np.complex128)
-        for _ in range(max_iterations):
-            operator = bell_operator(ineq, ObservableDirection(dirs.copy()))
-            eigvals, eigvecs = np.linalg.eigh(operator)
-            value = float(eigvals[-1])
-            if value < prev - _MONOTONE_SLACK:
-                raise RuntimeError(f"state step decreased the objective from {prev!r} to {value!r}")
-            trace.append(value)
-            state = eigvecs[:, -1]
-            corr = _correlations(state, parties)
+def _offer(kept: list[tuple], result: tuple) -> None:
+    """Keep a finished (restart, value, ...) that beats every earlier kept one and drop the
+    later ones it matches, so the best of the first n restarts is the last kept below n."""
+    restart, value = result[:2]
+    if value > max((k[1] for k in kept if k[0] < restart), default=-np.inf):
+        kept[:] = sorted([k for k in kept if k[0] < restart or k[1] > value] + [result], key=lambda k: k[0])
 
-            for party in range(parties):
-                score = _observer_scores(ineq.coeffs, dirs, corr, party)
-                norms = np.linalg.norm(score, axis=1)
-                live = norms >= _DEGENERATE_NORM  # a null coefficient slice keeps its direction
-                gains = norms[live] - np.einsum("sk,sk->s", dirs[party, live], score[live])
-                if np.any(gains < -_MONOTONE_SLACK):
-                    raise RuntimeError(f"direction step decreased the objective by {-gains.min()!r}")
-                value += float(gains.sum())
-                dirs[party, live] = score[live] / norms[live, None]
-            trace.append(value)
 
-            if value - prev < improvement_threshold * scale:
-                converged = True
-                prev = value
-                break
-            prev = value
-
-        if prev > best_value:
-            best_value = prev
-            best_dirs = dirs.copy()
-            best_state = state.copy()
-            best_converged = converged
-            best_trace = tuple(trace)
-        if best_value >= cap - 1e-12 * max(1.0, cap):
+def _lockstep(ineqs, restarts, seed, improvement_threshold, max_iterations) -> list[QuantumValueReport]:
+    """seesaw_maximize_all on inequalities of one observer count: rows are
+    admitted in (inequality, restart) order, up to _ROW_BLOCK at a time."""
+    parties = ineqs[0].parties
+    starts = np.stack([np.random.default_rng(child).normal(size=(parties, 3, 3))
+                       for child in np.random.SeedSequence(seed).spawn(restarts)])
+    starts /= np.linalg.norm(starts, axis=3, keepdims=True)
+    coeffs = np.stack([ineq.coeffs for ineq in ineqs]).astype(np.float64)
+    scales = np.array([float(ineq.bound) for ineq in ineqs])
+    caps = np.array([float(algebraic_maximum(ineq)) for ineq in ineqs])
+    used = np.full(len(ineqs), restarts)  # lowered to r + 1 once restart r reaches the cap
+    kept = [[] for _ in ineqs]
+    queue = ((e, r) for e in range(len(ineqs)) for r in range(restarts))
+    owner = restart = np.zeros(0, np.intp)
+    dirs, prev, traces = starts[:0], np.zeros(0), []
+    while True:
+        admit = list(itertools.islice(((e, r) for e, r in queue if r < used[e]), _ROW_BLOCK - len(traces)))
+        if admit:
+            new_owner, new_restart = np.array(admit, dtype=np.intp).T
+            owner, restart = np.append(owner, new_owner), np.append(restart, new_restart)
+            dirs, prev = np.concatenate((dirs, starts[new_restart])), np.append(prev, [-np.inf] * len(admit))
+            traces += [[] for _ in admit]
+            g, tol = coeffs[owner], improvement_threshold * scales[owner]
+        if not traces:
             break
 
-    if best_dirs is None or best_state is None:
-        raise RuntimeError("see-saw found no finite objective value")
-    return QuantumValueReport(
-        inequality_id=ineq.provenance.to_text() if ineq.provenance is not None else "",
-        quantum_max=best_value,
-        violation_ratio=min(best_value / scale, cap / scale),
-        directions=ObservableDirection(best_dirs),
-        state=_canonical_phase(best_state),
-        restarts_used=restarts_used,
-        converged=best_converged,
-        objective_trace=best_trace,
-    )
+        eigvals, eigvecs = np.linalg.eigh(_operators(g, dirs))
+        value = eigvals[:, -1]
+        if (low := value < prev - _MONOTONE_SLACK).any():
+            was, now = (float(x[np.argmax(low)]) for x in (prev, value))
+            raise RuntimeError(f"state step decreased the objective from {was!r} to {now!r}")
+        state = eigvecs[:, :, -1]
+        corr = _correlations(state, parties)
+        stepped = value
+        for party, party_dirs in enumerate(dirs.transpose(1, 0, 2, 3)):
+            score = _observer_scores(g, dirs, corr, party)
+            norms = np.sqrt(np.add.reduce(score * score, 2, keepdims=True))
+            live = norms >= _DEGENERATE_NORM  # a null coefficient slice keeps its direction
+            gains = (norms - np.add.reduce(party_dirs * score, 2, keepdims=True)) * live
+            if gains.min() < -_MONOTONE_SLACK:
+                raise RuntimeError(f"direction step decreased the objective by {float(-gains.min())!r}")
+            stepped = stepped + np.add.reduce(gains, (1, 2))
+            np.divide(score, norms, out=party_dirs, where=live)
+
+        for trace, before, after in zip(traces, value.tolist(), stepped.tolist()):
+            trace += (before, after)
+        converged, prev = stepped - prev < tol, stepped
+        finished = converged | [len(trace) >= 2 * max_iterations for trace in traces]
+        if not finished.any():
+            continue
+        for i in np.flatnonzero(finished).tolist():
+            e, r = owner[i], restart[i]
+            _offer(kept[e], (r, float(prev[i]), bool(converged[i]), tuple(traces[i]), dirs[i].copy(),
+                             state[i].copy()))
+            if prev[i] >= caps[e] - 1e-12 * max(1.0, caps[e]):
+                used[e] = min(used[e], r + 1)
+        keep = ~finished & (restart < used[owner])
+        owner, restart, dirs, prev, g, tol = (x[keep] for x in (owner, restart, dirs, prev, g, tol))
+        traces = [trace for trace, k in zip(traces, keep.tolist()) if k]
+
+    reports = []
+    for ineq, best, n, scale, cap in zip(ineqs, kept, used.tolist(), scales.tolist(), caps.tolist()):
+        best = [k for k in best if k[0] < n]
+        if not best:
+            raise RuntimeError("see-saw found no finite objective value")
+        _, value, converged, trace, best_dirs, best_state = best[-1]
+        reports.append(QuantumValueReport(
+            ineq.provenance.to_text() if ineq.provenance is not None else "", value,
+            min(value / scale, cap / scale), ObservableDirection(best_dirs), _canonical_phase(best_state),
+            n, converged, trace))
+    return reports

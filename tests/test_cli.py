@@ -11,10 +11,12 @@ from bellfacets import (
     LhvBounds,
     SignFunction,
     canonicalize,
+    certify_tightness,
     enumerate_admissible,
     inequality_from_sign_function,
     symmetry_group,
 )
+from bellfacets import catalog as cat
 from bellfacets import cli
 from bellfacets.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, _canonical_flags, main
 
@@ -122,7 +124,8 @@ def test_violate_appends_quantum_blocks(catalog2, tmp_path):
     ratios = sorted(round(e["quantum"]["ratio"], 6) for e in entries)
     assert ratios == [1.0, 1.0, 1.0, 1.414214, 1.414214, 1.414214]
     block = entries[0]["quantum"]
-    assert set(block) == {"max", "ratio", "directions", "state_re", "state_im", "seed", "restarts"}
+    assert set(block) == {"max", "ratio", "directions", "state_re", "state_im", "seed", "restarts",
+                          "restarts_used", "converged", "iterations"}
     assert block["seed"] == 7 and block["restarts"] == 8
 
 
@@ -131,6 +134,41 @@ def test_violate_is_byte_deterministic(catalog2, tmp_path):
     run_cli("violate", "--in", catalog2, "--out", out1, "--seed", 3, "--restarts", 4)
     run_cli("violate", "--in", catalog2, "--out", out2, "--seed", 3, "--restarts", 4)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_violate_reports_restarts_convergence_and_iterations(catalog2, mermin_inequality, tmp_path):
+    entries = json.loads(catalog2.read_text())
+    mermin = cat.inequality_entry(mermin_inequality, certify_tightness(mermin_inequality), canonical=False)
+    source, out = tmp_path / "with_mermin.json", tmp_path / "violated.json"
+    source.write_text(json.dumps(entries + [mermin]))
+    assert run_cli("violate", "--in", source, "--out", out, "--seed", 7, "--restarts", 32) == EXIT_OK
+    blocks = [e["quantum"] for e in json.loads(out.read_text())]
+    for block in blocks:
+        assert 1 <= block["restarts_used"] <= 32 and block["iterations"] >= 1
+        assert isinstance(block["converged"], bool)
+    chsh = [b for b in blocks[:6] if abs(b["ratio"] - 2 ** 0.5) < 1e-9]
+    assert len(chsh) == 3
+    assert all(b["converged"] and b["restarts_used"] == 32 for b in chsh)
+    assert blocks[6]["ratio"] == pytest.approx(2.0, abs=1e-9)
+    assert blocks[6]["restarts_used"] == 1
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--restarts", 0, "--restarts must be at least 1"),
+    ("--seed", -1, "--seed must be non-negative"),
+])
+@pytest.mark.parametrize("source", ["empty", "non-empty", "absent"])
+def test_violate_rejects_bad_flag_before_reading_input(flag, value, message, source, catalog2,
+                                                       tmp_path, capsys):
+    path = {"empty": tmp_path / "empty.json", "non-empty": catalog2,
+            "absent": tmp_path / "absent.json"}[source]
+    if source == "empty":
+        path.write_text("[]")
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run_cli("violate", "--in", path, "--out", out, flag, value) == EXIT_ERROR
+    assert capsys.readouterr().err == f"bellfacets violate: {message}\n"
+    assert not out.exists()
 
 
 # ── reduce / lift / classify ────────────────────────────────────────────────

@@ -357,3 +357,83 @@ def test_seesaw_ratio_is_symmetry_invariant_three_observers(census3):
             bool(rng.integers(0, 2)),
         )
         assert abs(_ratio(g.apply(fast[index])) - _ratio(fast[index])) <= INVARIANCE_TOL
+
+
+# ── lockstep batch ──────────────────────────────────────────────────────────
+
+
+def _same_report(a, b):
+    return (a.inequality_id == b.inequality_id and a.quantum_max == b.quantum_max
+            and a.violation_ratio == b.violation_ratio and a.restarts_used == b.restarts_used
+            and a.converged == b.converged and a.objective_trace == b.objective_trace
+            and np.array_equal(a.state, b.state)
+            and np.array_equal(a.directions.directions, b.directions.directions))
+
+
+def test_batch_equals_per_entry_calls_bit_for_bit(census3):
+    # 152 rows: more than one row block, so rows are admitted as others finish
+    ineqs = [inequality_from_sign_function(c.representative) for c in census3.canonical_classes]
+    batch = quantum.seesaw_maximize_all(ineqs, restarts=2, seed=5)
+    assert len(batch) == 76
+    for ineq, report in zip(ineqs, batch):
+        assert _same_report(report, seesaw_maximize(ineq, restarts=2, seed=5)), ineq.provenance.to_text()
+
+
+def test_batch_matches_reference_loop(census2):
+    two = [inequality_from_sign_function(cls.representative) for cls in census2.canonical_classes]
+    four = inequality_from_sign_function(SignFunction.from_text(N4_FIXED))
+    cases = list(zip(two, quantum.seesaw_maximize_all(two, restarts=32, seed=7), [32] * 6))
+    cases.append((four, quantum.seesaw_maximize_all([four], restarts=2, seed=7)[0], 2))
+    for ineq, report, restarts in cases:
+        value, trace, restarts_used = _reference_seesaw(ineq, restarts, 7)
+        assert report.restarts_used == restarts_used
+        assert abs(report.quantum_max - value) <= 1e-9 * ineq.bound
+
+
+def test_mixed_batch_drops_later_restarts_at_the_cap(chsh_inequality, mermin_inequality):
+    chsh, mermin = quantum.seesaw_maximize_all([chsh_inequality, mermin_inequality], restarts=32, seed=7)
+    assert chsh.restarts_used == 32 and chsh.converged
+    assert mermin.restarts_used == 1
+    assert mermin.violation_ratio == pytest.approx(2.0, abs=1e-9)
+    assert _same_report(chsh, seesaw_maximize(chsh_inequality, restarts=32, seed=7))
+    assert _same_report(mermin, seesaw_maximize(mermin_inequality, restarts=32, seed=7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 1.0, 2.0, np.nan]), min_size=1, max_size=8),
+       data=st.data())
+def test_kept_restarts_give_the_earliest_best_of_every_prefix(values, data):
+    order = data.draw(st.permutations(range(len(values))))
+    kept = []
+    for r in order:  # restarts finish in any order
+        quantum._offer(kept, (r, values[r]))
+    for used in range(1, len(values) + 1):
+        best = [k for k in kept if k[0] < used]
+        finite = [v for v in values[:used] if not np.isnan(v)]
+        if not finite:
+            assert best == []
+        else:
+            assert best[-1] == (values.index(max(finite)), max(finite))
+
+
+def test_decrease_in_one_row_of_a_stacked_state_step_raises(census2, monkeypatch):
+    ineqs = [inequality_from_sign_function(cls.representative) for cls in census2.canonical_classes]
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def lowered_row_on_second_call(matrices):
+        eigvals, eigvecs = real_eigh(matrices)
+        calls.append(len(matrices))
+        if len(calls) == 2:  # row 1 only, below -algebraic max
+            eigvals = eigvals.copy()
+            eigvals[1] -= 2 * max(algebraic_maximum(i) for i in ineqs)
+        return eigvals, eigvecs
+
+    monkeypatch.setattr(quantum.np.linalg, "eigh", lowered_row_on_second_call)
+    with pytest.raises(RuntimeError, match="state step decreased"):
+        quantum.seesaw_maximize_all(ineqs, restarts=2, seed=1)
+    assert calls == [12, 12]
+
+
+def test_empty_batch_returns_no_reports():
+    assert quantum.seesaw_maximize_all([], restarts=4, seed=0) == []
