@@ -39,8 +39,9 @@ def main():
 
     print("\nThe classic CHSH generator: -1 exactly when both first variables are -1")
     chsh = next(s for s in admissible if s.to_text() == "N=2;table=a0a0")
-    spectrum = fourier_transform(chsh)
-    print(f"  spectrum: {{{', '.join(f'{m.variables()}: {c}' for m, c in spectrum.nonzero().items())}}}")
+    spectrum = fourier_transform(chsh)  # entry T: coefficient on the variables whose bits T sets
+    terms = {tuple(j for j in range(4) if t >> j & 1): int(spectrum[t]) for t in np.flatnonzero(spectrum)}
+    print(f"  spectrum: {terms}")
     ineq = inequality_from_sign_function(chsh)
     print(f"  coefficient tensor (rows: observer 0 settings):\n{ineq.coeffs}")
     print(f"  i.e. |E_00 + E_01 + E_10 - E_11| <= 2 after dividing by 8")

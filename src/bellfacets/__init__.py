@@ -8,12 +8,9 @@ CH-type constraints and as the complete two-setting family.
 """
 
 from .fourier import (
-    FourierSpectrum,
-    Monomial,
     NotSignValued,
     SignFunction,
     fourier_transform,
-    inverse_transform,
     is_admissible,
     is_factorable,
     table_size,
@@ -63,10 +60,8 @@ __all__ = [
     "BoundNotAttained",
     "CanonicalClass",
     "EnumerationReport",
-    "FourierSpectrum",
     "LhvBounds",
     "LiftedInequality",
-    "Monomial",
     "NotAdmissible",
     "NotNormalized",
     "NotSignValued",
@@ -87,7 +82,6 @@ __all__ = [
     "fourier_transform",
     "fraction_free_rank",
     "inequality_from_sign_function",
-    "inverse_transform",
     "is_admissible",
     "is_factorable",
     "lhv_max",

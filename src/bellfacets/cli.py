@@ -43,13 +43,24 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDINGS = 2
 
-_PARTIES_RANGE = {
-    "enumerate": (2, 3),
-    "classify": (2, 3),
-    "reduce": (2, 3),
-    "verify": (2, 4),
-    "violate": (2, 4),
-    "lift": (2, 4),
+_PARTIES_RANGE = {"enumerate": (2, 3), "classify": (2, 3), "reduce": (2, 3)}
+
+# flag -> add_argument keywords; each command declares only the flags it reads
+_ARGUMENTS = {
+    "--parties": dict(type=int, required=True),
+    "--in": dict(dest="input_path", type=Path, required=True),
+    "--out": dict(dest="output_path", type=Path, required=True),
+    "--seed": dict(type=int, default=0),
+    "--restarts": dict(type=int, default=32),
+    "--format": dict(choices=("json", "csv"), default="json"),
+}
+_FLAGS = {
+    "enumerate": ("--parties", "--out", "--format"),
+    "classify": ("--parties", "--out"),
+    "verify": ("--in", "--out", "--format"),
+    "violate": ("--in", "--out", "--seed", "--restarts"),
+    "reduce": ("--parties", "--out", "--format"),
+    "lift": ("--in", "--out"),
 }
 
 
@@ -63,14 +74,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bellfacets", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("enumerate", "classify", "verify", "violate", "reduce", "lift"):
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--parties", type=int, default=None)
-        p.add_argument("--in", dest="input_path", type=Path, default=None)
-        p.add_argument("--out", dest="output_path", type=Path, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=32)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        for flag in flags:
+            p.add_argument(flag, **_ARGUMENTS[flag])
     return parser
 
 
@@ -218,27 +225,24 @@ _COMMANDS = {
     "lift": _cmd_lift,
 }
 
-_NEEDS_PARTIES = ("enumerate", "classify", "reduce")
-_NEEDS_INPUT = ("verify", "violate", "lift")
-_CSV_CAPABLE = ("enumerate", "reduce", "verify")
+
+def _usage_error(args: argparse.Namespace) -> str | None:
+    """The first out-of-range flag value, checked before any input is read."""
+    if "parties" in args:
+        low, high = _PARTIES_RANGE[args.command]
+        if not low <= args.parties <= high:
+            return f"--parties must be in [{low}, {high}]"
+    if "restarts" in args and args.restarts < 1:
+        return "--restarts must be at least 1"
+    if "seed" in args and args.seed < 0:
+        return "--seed must be non-negative"
+    return None
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line (see build_parser); returns the
     process exit status."""
-    low, high = _PARTIES_RANGE[args.command]
-    if args.command in _NEEDS_PARTIES and (args.parties is None or not low <= args.parties <= high):
-        usage = f"--parties must be in [{low}, {high}]"
-    elif args.command in _NEEDS_INPUT and args.input_path is None:
-        usage = "--in is required"
-    elif args.restarts < 1:
-        usage = "--restarts must be at least 1"
-    elif args.seed < 0:
-        usage = "--seed must be non-negative"
-    elif args.format == "csv" and args.command not in _CSV_CAPABLE:
-        usage = "csv format is not supported"
-    else:
-        usage = None
+    usage = _usage_error(args)
     if usage is not None:
         print(f"bellfacets {args.command}: {usage}", file=sys.stderr)
         return EXIT_ERROR

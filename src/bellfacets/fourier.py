@@ -8,10 +8,11 @@ meaning +1 and 1 meaning -1.  A sign function assigns +/-1 to each of the
 2^(2N) assignments and is stored as a packed bit table (bit k set means value
 -1 at assignment k).
 
-Spectra are kept unnormalized: the coefficient on a variable subset T is
-sum_v s(v) * prod_{j in T} v_j, an even integer of magnitude at most 2^(2N).
-This keeps all arithmetic exact; dividing by 2^(2N) recovers the conventional
-normalized expansion.
+A spectrum is an int64 array indexed by variable subset T, packed like an
+assignment (bit j set when variable j is in T).  It is kept unnormalized: the
+coefficient on T is sum_v s(v) * prod_{j in T} v_j, an even integer of
+magnitude at most 2^(2N).  This keeps all arithmetic exact; dividing by
+2^(2N) recovers the conventional normalized expansion.
 
 A sign function is *admissible* when its spectrum puts zero weight on every
 monomial containing both variables of some observer.  Admissible functions
@@ -32,7 +33,8 @@ MAX_PARTIES = 4
 
 
 class NotSignValued(ValueError):
-    """A hand-authored spectrum does not reconstruct to a +/-1-valued table."""
+    """A value table given to SignFunction.from_values or from_function holds
+    an entry other than +/-1."""
 
 
 def table_size(parties: int) -> int:
@@ -70,57 +72,6 @@ def _pair_codes(parties: int) -> np.ndarray:
     codes = np.arange(table_size(parties))[:, None] >> 2 * np.arange(parties) & 3
     codes.setflags(write=False)
     return codes
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A subset of the 2N variables, the index of one Fourier character."""
-
-    parties: int
-    subset: int
-
-    def __post_init__(self):
-        _check_parties(self.parties)
-        if not 0 <= self.subset < table_size(self.parties):
-            raise ValueError(f"subset 0x{self.subset:x} out of range for {self.parties} parties")
-
-    @property
-    def is_local_product(self) -> bool:
-        """True when some observer contributes both of its variables."""
-        for i in range(self.parties):
-            if self.subset >> (2 * i) & 1 and self.subset >> (2 * i + 1) & 1:
-                return True
-        return False
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(j for j in range(2 * self.parties) if self.subset >> j & 1)
-
-    def settings(self) -> tuple[int, ...]:
-        """Settings tuple this monomial addresses (absent -> 0, first -> 1, second -> 2).
-
-        Raises ValueError for local products, which have no settings reading.
-        """
-        out = []
-        for i in range(self.parties):
-            first = self.subset >> (2 * i) & 1
-            second = self.subset >> (2 * i + 1) & 1
-            if first and second:
-                raise ValueError(f"monomial 0x{self.subset:x} is a local product")
-            out.append(1 if first else 2 if second else 0)
-        return tuple(out)
-
-    @classmethod
-    def from_settings(cls, settings: Iterable[int]) -> "Monomial":
-        subset = 0
-        settings = tuple(settings)
-        for i, n in enumerate(settings):
-            if n == 1:
-                subset |= 1 << (2 * i)
-            elif n == 2:
-                subset |= 1 << (2 * i + 1)
-            elif n != 0:
-                raise ValueError(f"setting must be 0, 1 or 2, got {n}")
-        return cls(len(settings), subset)
 
 
 @dataclass(frozen=True)
@@ -182,30 +133,6 @@ class SignFunction:
         return cls(parties, table)
 
 
-@dataclass(frozen=True)
-class FourierSpectrum:
-    """Integer character coefficients, indexed by packed variable subset."""
-
-    parties: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_parties(self.parties)
-        if len(self.coeffs) != table_size(self.parties):
-            raise ValueError(f"need {table_size(self.parties)} coefficients")
-
-    def __getitem__(self, monomial: Monomial | int) -> int:
-        subset = monomial.subset if isinstance(monomial, Monomial) else monomial
-        return self.coeffs[subset]
-
-    def nonzero(self) -> dict[Monomial, int]:
-        return {
-            Monomial(self.parties, subset): c
-            for subset, c in enumerate(self.coeffs)
-            if c != 0
-        }
-
-
 def _fwht(values: np.ndarray) -> np.ndarray:
     """Integer Walsh-Hadamard butterfly over the last axis (a new array)."""
     out = np.asarray(values, dtype=np.int64)
@@ -221,33 +148,18 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def fourier_transform(s: SignFunction) -> FourierSpectrum:
-    """Exact integer spectrum of a sign function.
+def fourier_transform(s: SignFunction) -> np.ndarray:
+    """Exact integer spectrum of a sign function: a read-only int64 array of
+    length 2^(2N), entry T the coefficient on packed variable subset T.
 
     Coefficient at subset T is sum_v s(v) * chi_T(v) with
     chi_T(v) = (-1)^popcount(T & v); computed by a fast Walsh-Hadamard
-    transform in O(2^(2N) * 2N) integer operations.
+    transform in O(2^(2N) * 2N) integer operations.  The transform is its
+    own inverse up to scale: _fwht(fourier_transform(s)) == 2^(2N) * s.values().
     """
-    return FourierSpectrum(s.parties, tuple(int(c) for c in _fwht(s.values())))
-
-
-def inverse_transform(spectrum: FourierSpectrum) -> SignFunction:
-    """The unique sign function with the given spectrum.
-
-    Raises NotSignValued when the reconstruction is not +/-1 at some
-    assignment (invalid hand-authored spectrum).
-    """
-    n = table_size(spectrum.parties)
-    recon = _fwht(np.array(spectrum.coeffs, dtype=np.int64))
-    if not np.all(np.abs(recon) == n):
-        bad = int(np.flatnonzero(np.abs(recon) != n)[0])
-        raise NotSignValued(
-            f"reconstruction at assignment {bad} is {recon[bad]}/{n}, not +/-1"
-        )
-    table = 0
-    for k in np.flatnonzero(recon < 0):
-        table |= 1 << int(k)
-    return SignFunction(spectrum.parties, table)
+    spectrum = _fwht(s.values())
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 @lru_cache(maxsize=None)
@@ -292,6 +204,6 @@ def is_factorable(s: SignFunction) -> bool:
     Equivalent to the induced coefficient tensor having exactly one nonzero
     entry, necessarily of magnitude 2^(2N).
     """
-    spec = _fwht(s.values())
+    spec = fourier_transform(s)
     hits = np.flatnonzero(spec)
     return len(hits) == 1 and abs(int(spec[hits[0]])) == table_size(s.parties)

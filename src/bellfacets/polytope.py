@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fourier import SignFunction, _fwht, _pair_codes, is_admissible, table_size
+from .fourier import SignFunction, _pair_codes, fourier_transform, is_admissible, table_size
 
 
 class NotAdmissible(ValueError):
@@ -93,7 +93,7 @@ def inequality_from_sign_function(s: SignFunction) -> BellInequality:
         raise NotAdmissible(f"{s.to_text()} has a local-product Fourier component")
     subsets, flat = _settings_placement(s.parties)
     coeffs = np.zeros((3,) * s.parties, dtype=np.int64)
-    coeffs.reshape(-1)[flat] = _fwht(s.values())[subsets]
+    coeffs.reshape(-1)[flat] = fourier_transform(s)[subsets]
     coeffs.setflags(write=False)
     return BellInequality(s.parties, coeffs, table_size(s.parties), provenance=s)
 

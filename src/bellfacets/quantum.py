@@ -17,6 +17,12 @@ RuntimeError.  The (inequality, restart) rows of one observer count advance
 in lockstep, up to _ROW_BLOCK at a time: one stacked eigh per iteration and
 batched contractions, none of which mixes rows.
 
+Stop rule: a restart ends, converged, after the first iteration (a state
+step, then every observer's direction step) that raises the objective by
+less than _IMPROVEMENT_THRESHOLD = 1e-10 times the inequality's bound; one
+that reaches _MAX_ITERATIONS = 10 000 iterations first ends there, not
+converged.
+
 See-saw yields lower bounds only; reports label the result as the best value
 found over the requested restarts.  The reported state's first amplitude of
 modulus above 1e-12 is real and positive, which fixes its global phase.
@@ -39,6 +45,8 @@ _PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 _DEGENERATE_NORM = 1e-12
 _MONOTONE_SLACK = 1e-8
+_IMPROVEMENT_THRESHOLD = 1e-10  # the stop rule (module docstring), relative to the bound
+_MAX_ITERATIONS = 10_000
 _ZERO_AMPLITUDE = 1e-12
 _ROW_BLOCK = 64  # rows advanced together; bounds every stacked array
 
@@ -172,15 +180,13 @@ class QuantumValueReport:
         return self.violation_ratio > 1 + 1e-9
 
 
-def seesaw_maximize(ineq: BellInequality, restarts: int = 32, seed: int = 0,
-                    improvement_threshold: float = 1e-10, max_iterations: int = 10_000) -> QuantumValueReport:
+def seesaw_maximize(ineq: BellInequality, restarts: int = 32, seed: int = 0) -> QuantumValueReport:
     """seesaw_maximize_all on one inequality."""
-    return seesaw_maximize_all([ineq], restarts, seed, improvement_threshold, max_iterations)[0]
+    return seesaw_maximize_all([ineq], restarts, seed)[0]
 
 
-def seesaw_maximize_all(ineqs: list[BellInequality], restarts: int = 32, seed: int = 0,
-                        improvement_threshold: float = 1e-10,
-                        max_iterations: int = 10_000) -> list[QuantumValueReport]:
+def seesaw_maximize_all(ineqs: list[BellInequality], restarts: int = 32,
+                        seed: int = 0) -> list[QuantumValueReport]:
     """Alternating maximization over state and observable directions, one report per
     inequality, in order.  Deterministic for a given seed and restart count: restart r of
     every inequality starts from the r-th spawn of the seed sequence, and ties between
@@ -192,7 +198,7 @@ def seesaw_maximize_all(ineqs: list[BellInequality], restarts: int = 32, seed: i
     reports = {}
     for parties in {ineq.parties for ineq in ineqs}:
         index = [k for k, ineq in enumerate(ineqs) if ineq.parties == parties]
-        found = _lockstep([ineqs[k] for k in index], restarts, seed, improvement_threshold, max_iterations)
+        found = _lockstep([ineqs[k] for k in index], restarts, seed)
         reports.update(zip(index, found))
     return [reports[k] for k in range(len(ineqs))]
 
@@ -205,7 +211,7 @@ def _offer(kept: list[tuple], result: tuple) -> None:
         kept[:] = sorted([k for k in kept if k[0] < restart or k[1] > value] + [result], key=lambda k: k[0])
 
 
-def _lockstep(ineqs, restarts, seed, improvement_threshold, max_iterations) -> list[QuantumValueReport]:
+def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
     """seesaw_maximize_all on inequalities of one observer count: rows are
     admitted in (inequality, restart) order, up to _ROW_BLOCK at a time."""
     parties = ineqs[0].parties
@@ -227,7 +233,7 @@ def _lockstep(ineqs, restarts, seed, improvement_threshold, max_iterations) -> l
             owner, restart = np.append(owner, new_owner), np.append(restart, new_restart)
             dirs, prev = np.concatenate((dirs, starts[new_restart])), np.append(prev, [-np.inf] * len(admit))
             traces += [[] for _ in admit]
-            g, tol = coeffs[owner], improvement_threshold * scales[owner]
+            g, tol = coeffs[owner], _IMPROVEMENT_THRESHOLD * scales[owner]
         if not traces:
             break
 
@@ -252,7 +258,7 @@ def _lockstep(ineqs, restarts, seed, improvement_threshold, max_iterations) -> l
         for trace, before, after in zip(traces, value.tolist(), stepped.tolist()):
             trace += (before, after)
         converged, prev = stepped - prev < tol, stepped
-        finished = converged | [len(trace) >= 2 * max_iterations for trace in traces]
+        finished = converged | [len(trace) >= 2 * _MAX_ITERATIONS for trace in traces]
         if not finished.any():
             continue
         for i in np.flatnonzero(finished).tolist():

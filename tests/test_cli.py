@@ -369,8 +369,23 @@ def test_missing_input_file_is_io_error(tmp_path):
 
 
 def test_csv_rejected_for_nested_outputs(catalog2, tmp_path):
-    code = run_cli("lift", "--in", catalog2, "--out", tmp_path / "x.csv", "--format", "csv")
-    assert code == EXIT_ERROR
+    with pytest.raises(SystemExit) as info:
+        run_cli("lift", "--in", catalog2, "--out", tmp_path / "x.csv", "--format", "csv")
+    assert info.value.code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--parties", 2, "--out", "e.json", "--restarts", 0),
+    ("lift", "--in", "catalog.json", "--out", "l.json", "--seed", -3),
+    ("verify", "--parties", 9, "--in", "catalog.json", "--out", "v.json"),
+    ("enumerate", "--parties", 2, "--out", "e.json", "--in", "nowhere.json"),
+], ids=["enumerate-restarts", "lift-seed", "verify-parties", "enumerate-in"])
+def test_flag_a_command_does_not_read_is_a_usage_error(argv, catalog2, tmp_path, monkeypatch):
+    monkeypatch.chdir(catalog2.parent)
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == EXIT_ERROR
+    assert [p.name for p in tmp_path.iterdir()] == [catalog2.name]  # nothing written
 
 
 # ── N=4 smoke path ──────────────────────────────────────────────────────────

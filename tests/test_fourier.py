@@ -4,17 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellfacets import (
-    FourierSpectrum,
-    Monomial,
     NotSignValued,
     SignFunction,
     fourier_transform,
-    inverse_transform,
     is_admissible,
     is_factorable,
     table_size,
 )
 from bellfacets.fourier import _fwht, _local_block_ok, _pair_codes
+from bellfacets.polytope import _settings_placement
 
 
 def naive_spectrum(s):
@@ -29,6 +27,13 @@ def naive_spectrum(s):
             acc += int(vals[v]) * sign
         out.append(acc)
     return out
+
+
+def subset_settings(parties, subset):
+    """Observer i's setting read off subset bits 2i and 2i+1 (absent -> 0,
+    first -> 1, second -> 2); None for a local product (both bits set)."""
+    settings = tuple((subset >> 2 * i & 1) + 2 * (subset >> 2 * i + 1 & 1) for i in range(parties))
+    return None if 3 in settings else settings
 
 
 def random_sign_function(parties, rng):
@@ -63,23 +68,26 @@ def test_assignment_values():
     assert _pair_codes(2)[0b1001].tolist() == [1, 2]  # u_0 = -1; w_1 = -1
 
 
-# ── monomials ───────────────────────────────────────────────────────────────
+# ── monomials on settings tuples ────────────────────────────────────────────
 
 
 def test_monomial_local_product():
-    assert Monomial(2, 0b0011).is_local_product  # both variables of observer 0
-    assert not Monomial(2, 0b0101).is_local_product
+    subsets, _ = _settings_placement(2)
+    assert 0b0011 not in subsets  # both variables of observer 0
+    assert 0b0101 in subsets
+    for parties in (2, 3):
+        subsets, _ = _settings_placement(parties)
+        kept = [t for t in range(table_size(parties)) if subset_settings(parties, t) is not None]
+        assert subsets.tolist() == kept
 
 
 def test_monomial_settings_round_trip():
     for parties in (2, 3):
-        for subset in range(table_size(parties)):
-            m = Monomial(parties, subset)
-            if m.is_local_product:
-                with pytest.raises(ValueError):
-                    m.settings()
-            else:
-                assert Monomial.from_settings(m.settings()) == m
+        subsets, flat = _settings_placement(parties)
+        assert sorted(flat.tolist()) == list(range(3 ** parties))  # one-to-one onto the tuples
+        for subset, index in zip(subsets.tolist(), flat.tolist()):
+            settings = subset_settings(parties, subset)
+            assert index == sum(n * 3 ** (parties - 1 - i) for i, n in enumerate(settings))
 
 
 # ── forward transform ───────────────────────────────────────────────────────
@@ -96,14 +104,21 @@ def test_single_character_spectrum():
     s = SignFunction.from_function(2, lambda a, b, c, d: a)
     spec = fourier_transform(s)
     assert spec[0b0001] == 16
-    assert sum(abs(c) for c in spec.coeffs) == 16
+    assert np.abs(spec).sum() == 16
 
 
 def test_chsh_spectrum(chsh_sign):
     spec = fourier_transform(chsh_sign)
     expected = {0b0000: 8, 0b0001: 8, 0b0100: 8, 0b0101: -8}
-    assert {m.subset: c for m, c in spec.nonzero().items()} == expected
-    assert naive_spectrum(chsh_sign) == list(spec.coeffs)
+    assert {t: int(spec[t]) for t in np.flatnonzero(spec).tolist()} == expected
+    assert naive_spectrum(chsh_sign) == spec.tolist()
+
+
+def test_spectrum_is_a_read_only_int64_array():
+    spec = fourier_transform(SignFunction(3, 0))
+    assert spec.dtype == np.int64 and spec.shape == (64,)
+    with pytest.raises(ValueError):
+        spec[0] = 0
 
 
 @pytest.mark.parametrize("parties,samples", [(2, 40), (3, 8)])
@@ -111,7 +126,7 @@ def test_transform_matches_naive_oracle(parties, samples):
     rng = np.random.default_rng(20240 + parties)
     for _ in range(samples):
         s = random_sign_function(parties, rng)
-        assert list(fourier_transform(s).coeffs) == naive_spectrum(s)
+        assert fourier_transform(s).tolist() == naive_spectrum(s)
 
 
 @pytest.mark.parametrize("parties", [2, 3, 4])
@@ -119,7 +134,7 @@ def test_parseval_evenness_and_bound(parties):
     rng = np.random.default_rng(7 + parties)
     n = table_size(parties)
     for _ in range(50):
-        coeffs = np.array(fourier_transform(random_sign_function(parties, rng)).coeffs)
+        coeffs = fourier_transform(random_sign_function(parties, rng))
         assert (coeffs ** 2).sum() == n * n
         assert not np.any(coeffs % 2)
         assert np.abs(coeffs).max() <= n
@@ -130,27 +145,18 @@ def test_negation_covariance():
     for _ in range(25):
         s = random_sign_function(2, rng)
         neg = SignFunction(2, s.table ^ 0xFFFF)
-        assert [-c for c in fourier_transform(s).coeffs] == list(fourier_transform(neg).coeffs)
+        assert np.array_equal(-fourier_transform(s), fourier_transform(neg))
 
 
-# ── inverse transform ───────────────────────────────────────────────────────
-
-
-def test_inverse_of_constant_spectrum():
-    spec = FourierSpectrum(2, (16,) + (0,) * 15)
-    assert inverse_transform(spec) == SignFunction(2, 0)
+# ── reconstruction ──────────────────────────────────────────────────────────
 
 
 def test_round_trip_on_random_functions():
+    # the transform is its own inverse up to the factor 4^N
     rng = np.random.default_rng(1234)
     for _ in range(1000):
         s = random_sign_function(2, rng)
-        assert inverse_transform(fourier_transform(s)) == s
-
-
-def test_inverse_rejects_non_sign_valued():
-    with pytest.raises(NotSignValued):
-        inverse_transform(FourierSpectrum(2, (1,) + (0,) * 15))
+        assert np.array_equal(_fwht(fourier_transform(s)), 16 * s.values())
 
 
 # ── admissibility ───────────────────────────────────────────────────────────
@@ -170,7 +176,7 @@ def _spectral_admissible(values, parties):
     spec = _fwht(values)
     ok = np.ones(spec.shape[:-1], dtype=bool)
     for subset in range(table_size(parties)):
-        if Monomial(parties, subset).is_local_product:
+        if subset_settings(parties, subset) is None:
             ok &= spec[..., subset] == 0
     return ok
 

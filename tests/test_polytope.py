@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bellfacets import (
     BellInequality,
     BoundNotAttained,
-    Monomial,
     NotAdmissible,
     SignFunction,
     SymmetryElement,
@@ -149,13 +148,14 @@ def _reference_inequality_coeffs(s):
     """The spectrum placed monomial by monomial; None when a local product
     carries weight (the spectral definition of not admissible)."""
     coeffs = np.zeros((3,) * s.parties, dtype=np.int64)
-    for subset, value in enumerate(fourier_transform(s).coeffs):
-        mono = Monomial(s.parties, subset)
-        if mono.is_local_product:
+    for subset, value in enumerate(fourier_transform(s).tolist()):
+        # observer i's setting is its pair code u + 2w from bits 2i, 2i+1; 3 is a local product
+        settings = tuple((subset >> 2 * i & 1) + 2 * (subset >> 2 * i + 1 & 1) for i in range(s.parties))
+        if 3 in settings:
             if value:
                 return None
             continue
-        coeffs[mono.settings()] = value
+        coeffs[settings] = value
     return coeffs
 
 
