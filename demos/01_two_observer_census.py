@@ -10,17 +10,19 @@ and shows that beyond trivial |E| <= 1 constraints everything is CHSH.
 import numpy as np
 
 from bellfacets import (
+    SignFunction,
     classify,
-    enumerate_admissible,
     fourier_transform,
     inequality_from_sign_function,
+    is_admissible,
     is_factorable,
 )
 
 
 def main():
     print("Scanning all 2^16 = 65536 sign functions of four variables...")
-    admissible = list(enumerate_admissible(2, mode="exhaustive"))
+    tables = (SignFunction(2, t) for t in range(1 << 16))
+    admissible = [s for s in tables if is_admissible(s)]
     factorable = [s for s in admissible if is_factorable(s)]
     print(f"  admissible: {len(admissible)}")
     print(f"  factorable (trivial |E| <= 1): {len(factorable)}")

@@ -15,7 +15,7 @@ from .fourier import (
     is_factorable,
     table_size,
 )
-from .symmetry import SymmetryElement, canonicalize, orbit_tables, symmetry_group
+from .symmetry import SymmetryElement, canonicalize, symmetry_group
 from .enumeration import (
     CanonicalClass,
     EnumerationReport,
@@ -87,7 +87,6 @@ __all__ = [
     "lhv_max",
     "lhv_max_by_strategies",
     "lift",
-    "orbit_tables",
     "seesaw_maximize",
     "seesaw_maximize_all",
     "symmetry_group",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from pathlib import Path
 from typing import Any, Iterable
@@ -23,15 +24,7 @@ from .quantum import QuantumValueReport
 
 def settings_labels(parties: int) -> list[str]:
     """Column names for the row-major flattened coefficient tensor."""
-    labels = []
-    for flat in range(3 ** parties):
-        digits = []
-        rem = flat
-        for _ in range(parties):
-            rem, d = divmod(rem, 3)
-            digits.append(d)
-        labels.append("E_" + "".join(str(d) for d in reversed(digits)))
-    return labels
+    return ["E_" + "".join(map(str, digits)) for digits in itertools.product(range(3), repeat=parties)]
 
 
 def inequality_entry(

@@ -11,9 +11,10 @@ lift       append lifted (marginal + correlation) blocks to a catalog
 
 Exit status: 0 when all checks pass, 2 when a finding is recorded (an entry
 that is not tight, whose bound does not match the brute-force value, or whose
-coefficients are not those its sign function induces), and 1 for usage or
-I/O errors and malformed catalog entries.  Output bytes are fully determined
-by the flags; re-running a command reproduces its files exactly.
+coefficients are not those its sign function induces; violate also flags a
+stored bound other than the induced 2^(2N)), and 1 for usage or I/O errors
+and malformed catalog entries.  Output bytes are fully determined by the
+flags; re-running a command reproduces its files exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import catalog as cat
 from .enumeration import UnsupportedSize, classify
-from .fourier import SignFunction
+from .fourier import SignFunction, table_size
 from .lifting import lift, two_setting_reduction
 from .polytope import (
     BellInequality,
@@ -42,8 +43,6 @@ from .symmetry import orbit_words
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDINGS = 2
-
-_PARTIES_RANGE = {"enumerate": (2, 3), "classify": (2, 3), "reduce": (2, 3)}
 
 # flag -> add_argument keywords; each command declares only the flags it reads
 _ARGUMENTS = {
@@ -190,10 +189,14 @@ def _cmd_violate(args: argparse.Namespace) -> int:
     inequalities = [cat.entry_inequality(entry) for entry in entries]
     coeffs_ok = [_coeffs_ok(args.command, index, ineq) for index, ineq in enumerate(inequalities)]
     reports = seesaw_maximize_all(inequalities, restarts=args.restarts, seed=args.seed)
+    wrong_bound = [(k, ineq) for k, ineq in enumerate(inequalities) if ineq.bound != table_size(ineq.parties)]
+    for index, ineq in wrong_bound:
+        print(f"bellfacets violate: entry {index} ({ineq.provenance.to_text()}) has bound {ineq.bound}, "
+              f"not the {table_size(ineq.parties)} its sign function induces", file=sys.stderr)
     for entry, report in zip(entries, reports):
         entry["quantum"] = cat.quantum_block(report, args.seed, args.restarts)
     cat.write_json(args.output_path, entries)
-    return EXIT_OK if all(coeffs_ok) else EXIT_FINDINGS
+    return EXIT_OK if all(coeffs_ok) and not wrong_bound else EXIT_FINDINGS
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -227,11 +230,8 @@ _COMMANDS = {
 
 
 def _usage_error(args: argparse.Namespace) -> str | None:
-    """The first out-of-range flag value, checked before any input is read."""
-    if "parties" in args:
-        low, high = _PARTIES_RANGE[args.command]
-        if not low <= args.parties <= high:
-            return f"--parties must be in [{low}, {high}]"
+    """The first out-of-range flag value, checked before any input is read;
+    the library itself rejects an unsupported --parties."""
     if "restarts" in args and args.restarts < 1:
         return "--restarts must be at least 1"
     if "seed" in args and args.seed < 0:

@@ -5,8 +5,9 @@ variable pair, one per assignment of that pair, and every section is an
 admissible (N-1)-observer table.  The last observer's block condition forces
 section 3 pointwise from the other three, so the stream is one recursion over
 section triples, starting from the six valid one-observer blocks; each step
-tests blocks of triples as arrays.  For two observers an independent
-vectorized scan of all 2^16 tables (``mode="exhaustive"``) cross-checks it.
+tests blocks of triples as arrays.  For two observers a private, independent
+scan of all 2^16 tables (``_exhaustive_two``) is the oracle the tests hold
+it to.
 
 The census (:func:`classify`) walks the sorted tables: the least table not
 yet in an orbit is the least member of its own orbit, which the symmetry
@@ -22,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fourier import SignFunction, _local_block_ok, _table_bits, is_factorable, table_size
+from .fourier import SignFunction, _admissible, _table_bits, is_factorable, table_size
 from .polytope import chsh_pattern, inequality_from_sign_function
 from .symmetry import orbit_words
 
@@ -40,11 +41,9 @@ _VALID_BLOCKS = np.array([
 _VALID_BLOCKS.setflags(write=False)
 
 
-def _exhaustive_two() -> Iterator[int]:
-    """Vectorized scan of all 2^16 tables via the local block test."""
-    bits = _table_bits(2, range(1 << 16)).astype(np.int8)
-    ok = _local_block_ok(bits, 2, 0) & _local_block_ok(bits, 2, 1)
-    return iter(np.flatnonzero(ok).tolist())
+def _exhaustive_two() -> list[int]:
+    """Vectorized scan of all 2^16 tables via the block test, in table order."""
+    return np.flatnonzero(_admissible(_table_bits(2, range(1 << 16)), 2)).tolist()
 
 
 # Candidate (s0, s1, s2) triples tested per block: 12 blocks cover N=3, and at
@@ -92,23 +91,12 @@ def _table_stream(parties: int) -> Iterator[int]:
             yield from (int.from_bytes(raw[i:i + 32], "little") for i in range(0, len(raw), 32))
 
 
-def enumerate_admissible(parties: int, mode: str = "backtracking") -> Iterator[SignFunction]:
-    """Stream every admissible sign function exactly once, deterministically.
-
-    ``mode`` is ``"backtracking"`` (the section recursion, any supported N)
-    or ``"exhaustive"`` (N = 2 only, an independent scan of all 2^16 tables).
-    """
+def enumerate_admissible(parties: int) -> Iterator[SignFunction]:
+    """Stream every admissible sign function exactly once, deterministically,
+    by the section recursion."""
     if not 2 <= parties <= 4:
         raise UnsupportedSize(f"enumeration supports 2 to 4 observers, got {parties}")
-    if mode == "exhaustive":
-        if parties != 2:
-            raise UnsupportedSize("exhaustive mode scans 2^(2N) tables; only N=2 is viable")
-        stream: Iterator[int] = _exhaustive_two()
-    elif mode == "backtracking":
-        stream = _table_stream(parties)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for table in stream:
+    for table in _table_stream(parties):
         yield SignFunction(parties, table)
 
 

@@ -173,29 +173,18 @@ def _block_indices(parties: int) -> np.ndarray:
     return index
 
 
-def _local_block_ok(values: np.ndarray, parties: int, party: int) -> np.ndarray:
-    """Vectorized block condition for one observer.
-
-    For every fixed assignment of the other variables, the four values over
-    the observer's pair must satisfy s(+,+) + s(-,-) = s(+,-) + s(-,+), i.e.
-    the pair-product component of each local block vanishes.  Works on a
-    single table (shape (2^(2N),)) or a batch (..., 2^(2N)); returns a
-    boolean (batch-shaped) verdict.
-    """
-    block = values[..., _block_indices(parties)[party]]
-    return np.all(block[..., 0, :] + block[..., 1, :] == block[..., 2, :] + block[..., 3, :], axis=-1)
+def _admissible(tables: np.ndarray, parties: int) -> np.ndarray:
+    """The block test, one verdict per table (..., 2^(2N)): for every observer and
+    assignment r of the other variables, s(+,+,r) + s(-,-,r) = s(+,-,r) + s(-,+,r).
+    It is linear, so tables may hold +/-1 values or their 0/1 bits."""
+    block = tables[..., _block_indices(parties)]
+    return np.all(block[..., 0, :] + block[..., 1, :] == block[..., 2, :] + block[..., 3, :], axis=(-2, -1))
 
 
 def is_admissible(s: SignFunction) -> bool:
-    """True when no observer's pair product survives in the spectrum.
-
-    Decided by the local block test (no transform): for each observer and
-    each assignment of the remaining variables, the signed sum
-    s(+,+,r) + s(-,-,r) - s(+,-,r) - s(-,+,r) must vanish.  The test is
-    linear, so it runs on the table's 0/1 bits, all observers in one gather.
-    """
-    block = _table_bits(s.parties, (s.table,))[0][_block_indices(s.parties)]
-    return bool(np.all(block[:, 0] + block[:, 1] == block[:, 2] + block[:, 3]))
+    """True when no observer's pair product survives in the spectrum, decided
+    by the block test on the table's bits (no transform)."""
+    return bool(_admissible(_table_bits(s.parties, (s.table,))[0], s.parties))
 
 
 def is_factorable(s: SignFunction) -> bool:

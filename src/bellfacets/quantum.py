@@ -23,9 +23,10 @@ less than _IMPROVEMENT_THRESHOLD = 1e-10 times the inequality's bound; one
 that reaches _MAX_ITERATIONS = 10 000 iterations first ends there, not
 converged.
 
-See-saw yields lower bounds only; reports label the result as the best value
-found over the requested restarts.  The reported state's first amplitude of
-modulus above 1e-12 is real and positive, which fixes its global phase.
+See-saw yields lower bounds only.  Each report is the run of highest final
+value among the restarts used (NaN never wins), the earliest on a tie, so the
+order in which rows finish cannot change it.  The reported state's first
+amplitude of modulus above 1e-12 is real and positive, fixing its phase.
 """
 
 from __future__ import annotations
@@ -192,23 +193,18 @@ def seesaw_maximize_all(ineqs: list[BellInequality], restarts: int = 32,
     every inequality starts from the r-th spawn of the seed sequence, and ties between
     restarts keep the earliest.  An inequality stops after the first restart that reaches
     the algebraic maximum, since no later one could improve on it.  Each report depends on
-    its own inequality alone."""
+    its own inequality alone.  A non-positive bound raises ValueError before any iteration."""
     if restarts < 1:
         raise ValueError("need at least one restart")
+    for k, ineq in enumerate(ineqs):
+        if ineq.bound <= 0:
+            raise ValueError(f"inequality {k} has non-positive bound {ineq.bound}")
     reports = {}
     for parties in {ineq.parties for ineq in ineqs}:
         index = [k for k, ineq in enumerate(ineqs) if ineq.parties == parties]
         found = _lockstep([ineqs[k] for k in index], restarts, seed)
         reports.update(zip(index, found))
     return [reports[k] for k in range(len(ineqs))]
-
-
-def _offer(kept: list[tuple], result: tuple) -> None:
-    """Keep a finished (restart, value, ...) that beats every earlier kept one and drop the
-    later ones it matches, so the best of the first n restarts is the last kept below n."""
-    restart, value = result[:2]
-    if value > max((k[1] for k in kept if k[0] < restart), default=-np.inf):
-        kept[:] = sorted([k for k in kept if k[0] < restart or k[1] > value] + [result], key=lambda k: k[0])
 
 
 def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
@@ -222,7 +218,7 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
     scales = np.array([float(ineq.bound) for ineq in ineqs])
     caps = np.array([float(algebraic_maximum(ineq)) for ineq in ineqs])
     used = np.full(len(ineqs), restarts)  # lowered to r + 1 once restart r reaches the cap
-    kept = [[] for _ in ineqs]
+    runs = [[None] * restarts for _ in ineqs]  # runs[e][r]: (value, converged, trace, dirs, state)
     queue = ((e, r) for e in range(len(ineqs)) for r in range(restarts))
     owner = restart = np.zeros(0, np.intp)
     dirs, prev, traces = starts[:0], np.zeros(0), []
@@ -263,8 +259,7 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
             continue
         for i in np.flatnonzero(finished).tolist():
             e, r = owner[i], restart[i]
-            _offer(kept[e], (r, float(prev[i]), bool(converged[i]), tuple(traces[i]), dirs[i].copy(),
-                             state[i].copy()))
+            runs[e][r] = (float(prev[i]), bool(converged[i]), np.array(traces[i]), dirs[i].copy(), state[i].copy())
             if prev[i] >= caps[e] - 1e-12 * max(1.0, caps[e]):
                 used[e] = min(used[e], r + 1)
         keep = ~finished & (restart < used[owner])
@@ -272,13 +267,14 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
         traces = [trace for trace, k in zip(traces, keep.tolist()) if k]
 
     reports = []
-    for ineq, best, n, scale, cap in zip(ineqs, kept, used.tolist(), scales.tolist(), caps.tolist()):
-        best = [k for k in best if k[0] < n]
-        if not best:
+    for ineq, done, n, scale, cap in zip(ineqs, runs, used.tolist(), scales.tolist(), caps.tolist()):
+        values = np.array([run[0] for run in done[:n]])
+        best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))  # earliest on a tie
+        value, converged, trace, best_dirs, best_state = done[best]
+        if not value > -np.inf:
             raise RuntimeError("see-saw found no finite objective value")
-        _, value, converged, trace, best_dirs, best_state = best[-1]
         reports.append(QuantumValueReport(
             ineq.provenance.to_text() if ineq.provenance is not None else "", value,
             min(value / scale, cap / scale), ObservableDirection(best_dirs), _canonical_phase(best_state),
-            n, converged, trace))
+            n, converged, tuple(trace.tolist())))
     return reports

@@ -8,11 +8,11 @@ antiface).  Together these form a group of order N! * 8^N * 2 whose action
 on packed tables is a bit permutation plus an optional complement.
 
 The canonical representative is the orbit member with the least
-packed-table integer.  Every orbit consumer (orbit tables, canonical forms,
-the census) reads one image generator: per observer permutation, a gather
-of the table's bits followed by one cached flat gather map of the 8^N local
-relabelings, taken in blocks so that the N=4 orbit (196608 tables) never
-materializes at once.
+packed-table integer.  Both orbit routes (the sorted orbit words the census
+reads, and the streaming canonical form) read one image generator: per
+observer permutation, a gather of the table's bits followed by one cached
+flat gather map of the 8^N local relabelings, taken in blocks so that the
+N=4 orbit (196608 tables) never materializes at once.
 """
 
 from __future__ import annotations
@@ -169,13 +169,6 @@ def orbit_words(s: SignFunction) -> np.ndarray:
     words = packed.view(f"<u{packed.shape[-1]}").ravel()
     orbit = np.sort(np.concatenate((words, ~words)))
     return orbit[np.insert(orbit[1:] != orbit[:-1], 0, True)]
-
-
-def orbit_tables(s: SignFunction) -> set[int]:
-    """Packed tables of the full symmetry orbit of s (both signs)."""
-    plain = set(itertools.chain.from_iterable(map(_bit_tables, _sign_free_images(s))))
-    full = (1 << table_size(s.parties)) - 1
-    return plain | {t ^ full for t in plain}
 
 
 def canonicalize(s: SignFunction) -> SignFunction:

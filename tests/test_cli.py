@@ -245,9 +245,12 @@ def test_missing_out_flag_is_usage_error(capsys):
     assert info.value.code == EXIT_ERROR
 
 
-def test_unsupported_parties_is_usage_error(tmp_path):
-    assert run_cli("enumerate", "--parties", 5, "--out", tmp_path / "x.json") == EXIT_ERROR
-    assert run_cli("classify", "--parties", 4, "--out", tmp_path / "x.json") == EXIT_ERROR
+def test_unsupported_parties_is_usage_error(tmp_path, capsys):
+    for command, parties in (("enumerate", 5), ("classify", 4), ("reduce", 1)):
+        assert run_cli(command, "--parties", parties, "--out", tmp_path / "x.json") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"bellfacets {command}: "), err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_checkpoint_flag_is_unknown(tmp_path):
@@ -361,6 +364,23 @@ def test_mismatched_coefficients_are_a_finding(command, extra, block, catalog2, 
     assert capsys.readouterr().err.startswith(f"bellfacets {command}: entry 2 ")
     written = json.loads(out.read_text())
     assert len(written) == 6 and all(block in e for e in written)
+
+
+@pytest.mark.parametrize("bound, code, names", [
+    (8, EXIT_FINDINGS, "entry 2 "), (0, EXIT_ERROR, "inequality 2 "), (-16, EXIT_ERROR, "inequality 2 "),
+], ids=["bound-8", "bound-0", "bound-negative"])
+def test_violate_checks_the_stored_bound(bound, code, names, catalog2, tmp_path, capsys):
+    entries = json.loads(catalog2.read_text())
+    entries[2]["bound"] = bound
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(entries))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run_cli("violate", "--in", bad, "--out", out, "--restarts", 1) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("bellfacets violate: "), err
+    assert names in err
+    assert out.exists() == (code == EXIT_FINDINGS)
 
 
 def test_missing_input_file_is_io_error(tmp_path):

@@ -25,9 +25,9 @@ N3_FACTORABLE = 54
 
 
 def test_exhaustive_matches_backtracking():
-    exhaustive = [s.table for s in enumerate_admissible(2, mode="exhaustive")]
-    backtracked = [s.table for s in enumerate_admissible(2, mode="backtracking")]
-    assert sorted(exhaustive) == sorted(backtracked)
+    exhaustive = enumeration._exhaustive_two()
+    backtracked = [s.table for s in enumerate_admissible(2)]
+    assert exhaustive == sorted(backtracked)
     assert len(exhaustive) == N2_ADMISSIBLE
 
 
@@ -112,13 +112,10 @@ def test_three_observer_stream_is_admissible_sample():
         assert is_admissible(stream[int(i)])
 
 
-@pytest.mark.parametrize(
-    "parties,mode",
-    [(5, "backtracking"), (3, "exhaustive"), (1, "backtracking")],
-)
-def test_unsupported_sizes(parties, mode):
+@pytest.mark.parametrize("parties", [5, 1])
+def test_unsupported_sizes(parties):
     with pytest.raises(UnsupportedSize):
-        next(enumerate_admissible(parties, mode=mode))
+        next(enumerate_admissible(parties))
 
 
 def test_census_rejects_an_orbit_leaving_the_family(monkeypatch):

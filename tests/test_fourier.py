@@ -11,7 +11,7 @@ from bellfacets import (
     is_factorable,
     table_size,
 )
-from bellfacets.fourier import _fwht, _local_block_ok, _pair_codes
+from bellfacets.fourier import _admissible, _fwht, _pair_codes
 from bellfacets.polytope import _settings_placement
 
 
@@ -188,19 +188,17 @@ def test_block_test_equals_spectral_definition_exhaustive_two_observers():
         bitorder="little",
     )
     values = (1 - 2 * bits).astype(np.int64)
-    by_blocks = _local_block_ok(values, 2, 0) & _local_block_ok(values, 2, 1)
+    by_blocks = _admissible(values, 2)
     by_spectrum = _spectral_admissible(values, 2)
     assert np.array_equal(by_blocks, by_spectrum)
+    assert np.array_equal(_admissible(bits, 2), by_blocks)  # the test is linear: bits decide alike
     assert by_blocks.sum() == 90
 
 
 def test_block_test_equals_spectral_definition_random_three_observers():
     rng = np.random.default_rng(31337)
-    values = rng.choice(np.array([-1, 1], dtype=np.int64), size=(100_000, 64))
-    by_blocks = np.ones(len(values), dtype=bool)
-    for party in range(3):
-        by_blocks &= _local_block_ok(values, 3, party)
-    assert np.array_equal(by_blocks, _spectral_admissible(values, 3))
+    values = rng.choice(np.array([-1, 1], dtype=np.int8), size=(100_000, 64))
+    assert np.array_equal(_admissible(values, 3), _spectral_admissible(values, 3))
 
 
 # ── factorability ───────────────────────────────────────────────────────────

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import reduce
 
 import numpy as np
@@ -163,6 +164,14 @@ def test_seesaw_requires_a_restart():
     ineq = inequality_from_sign_function(SignFunction(2, 0))
     with pytest.raises(ValueError):
         seesaw_maximize(ineq, restarts=0)
+
+
+@pytest.mark.parametrize("bound", [0, -16])
+def test_seesaw_rejects_a_non_positive_bound_before_iterating(chsh_inequality, bound, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", None)  # any iteration would fail on this instead
+    bad = BellInequality(2, chsh_inequality.coeffs, bound, chsh_inequality.provenance)
+    with pytest.raises(ValueError, match=f"inequality 1 has non-positive bound {bound}"):
+        quantum.seesaw_maximize_all([chsh_inequality, bad])
 
 
 # ── per-term reference loops ────────────────────────────────────────────────
@@ -399,21 +408,30 @@ def test_mixed_batch_drops_later_restarts_at_the_cap(chsh_inequality, mermin_ine
     assert _same_report(mermin, seesaw_maximize(mermin_inequality, restarts=32, seed=7))
 
 
-@settings(max_examples=60, deadline=None)
-@given(values=st.lists(st.sampled_from([0.0, 1.0, 2.0, np.nan]), min_size=1, max_size=8),
-       data=st.data())
-def test_kept_restarts_give_the_earliest_best_of_every_prefix(values, data):
-    order = data.draw(st.permutations(range(len(values))))
-    kept = []
-    for r in order:  # restarts finish in any order
-        quantum._offer(kept, (r, values[r]))
-    for used in range(1, len(values) + 1):
-        best = [k for k in kept if k[0] < used]
-        finite = [v for v in values[:used] if not np.isnan(v)]
-        if not finite:
-            assert best == []
-        else:
-            assert best[-1] == (values.index(max(finite)), max(finite))
+def _start_from(monkeypatch, base, signs):
+    """Make restart r of the see-saw start from signs[r] * base."""
+
+    class Scripted:  # stands in for np.random.default_rng(child)
+        def __init__(self, child):
+            self.sign = signs[child.spawn_key[-1]]
+
+        def normal(self, size):
+            return self.sign * base
+
+    monkeypatch.setattr(np.random, "default_rng", Scripted)
+
+
+def test_a_tie_between_restarts_keeps_the_earliest(chsh_inequality, monkeypatch):
+    # negating both observers' directions leaves every value the same to the bit,
+    # but not the directions
+    base = np.random.default_rng(3).normal(size=(2, 3, 3))
+    _start_from(monkeypatch, base, (1.0, -1.0))
+    one, two = (seesaw_maximize(chsh_inequality, restarts=n) for n in (1, 2))
+    _start_from(monkeypatch, base, (-1.0,))
+    later = seesaw_maximize(chsh_inequality, restarts=1)
+    assert two.restarts_used == 2 and two.quantum_max == one.quantum_max == later.quantum_max
+    assert np.array_equal(later.directions.directions, -one.directions.directions)
+    assert _same_report(two, dataclasses.replace(one, restarts_used=2))
 
 
 def test_decrease_in_one_row_of_a_stacked_state_step_raises(census2, monkeypatch):
