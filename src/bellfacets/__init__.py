@@ -15,7 +15,7 @@ from .fourier import (
     is_factorable,
     table_size,
 )
-from .symmetry import SymmetryElement, canonicalize, symmetry_group
+from .symmetry import canonicalize
 from .enumeration import (
     CanonicalClass,
     EnumerationReport,
@@ -68,7 +68,6 @@ __all__ = [
     "ObservableDirection",
     "QuantumValueReport",
     "SignFunction",
-    "SymmetryElement",
     "TightnessCertificate",
     "UnsupportedSize",
     "algebraic_maximum",
@@ -89,7 +88,6 @@ __all__ = [
     "lift",
     "seesaw_maximize",
     "seesaw_maximize_all",
-    "symmetry_group",
     "table_size",
     "two_setting_reduction",
     "vertex_matrix",

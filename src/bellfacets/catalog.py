@@ -123,7 +123,7 @@ def lifted_block(lifted: LiftedInequality) -> dict[str, Any]:
 
 
 def classification_dict(report: EnumerationReport) -> dict[str, Any]:
-    """Census as a plain dict; wall time is omitted so bytes stay reproducible."""
+    """Census as a plain dict."""
     return {
         "parties": report.parties,
         "total_admissible": report.total_admissible,

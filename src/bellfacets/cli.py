@@ -38,7 +38,7 @@ from .polytope import (
     lhv_max,
 )
 from .quantum import seesaw_maximize_all
-from .symmetry import orbit_words
+from .symmetry import orbit_least
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -122,14 +122,9 @@ def _canonical_flags(functions: list[SignFunction]) -> list[bool]:
     """Whether each function (all of one observer count, N <= 3) is the least
     table of its orbit, as canonicalize would say, scanning each orbit once."""
     tables = sorted({s.table for s in functions})
-    least = {}  # table among `functions` -> least table of its orbit
-    for s in functions:
-        if s.table not in least:
-            orbit = orbit_words(s)
-            wanted = np.array(tables, dtype=orbit.dtype)
-            found = orbit[np.minimum(np.searchsorted(orbit, wanted), len(orbit) - 1)] == wanted
-            least.update(dict.fromkeys(wanted[found].tolist(), int(orbit[0])))
-    return [least[s.table] == s.table for s in functions]
+    least, _ = orbit_least(functions[0].parties, np.array(tables, dtype=np.uint64))
+    lookup = dict(zip(tables, least.tolist()))
+    return [lookup[s.table] == s.table for s in functions]
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

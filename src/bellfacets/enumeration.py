@@ -9,14 +9,13 @@ tests blocks of triples as arrays.  For two observers a private, independent
 scan of all 2^16 tables (``_exhaustive_two``) is the oracle the tests hold
 it to.
 
-The census (:func:`classify`) walks the sorted tables: the least table not
-yet in an orbit is the least member of its own orbit, which the symmetry
-module's image generator supplies whole; each canonical class is annotated.
+The census (:func:`classify`) groups the sorted tables by the least table
+of their orbits, which the symmetry module's orbit walk supplies; each
+canonical class is annotated.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -25,7 +24,7 @@ import numpy as np
 
 from .fourier import SignFunction, _admissible, _table_bits, is_factorable, table_size
 from .polytope import chsh_pattern, inequality_from_sign_function
-from .symmetry import orbit_words
+from .symmetry import orbit_least
 
 
 class UnsupportedSize(ValueError):
@@ -115,7 +114,6 @@ class EnumerationReport:
     total_admissible: int
     canonical_classes: tuple[CanonicalClass, ...]
     factorable_count: int
-    wall_time: float
 
 
 def classify(parties: int) -> EnumerationReport:
@@ -127,20 +125,16 @@ def classify(parties: int) -> EnumerationReport:
     """
     if parties not in (2, 3):
         raise UnsupportedSize(f"census is desk-scale for 2 or 3 observers, got {parties}")
-    start = time.perf_counter()
     tables = np.sort(_admissible_tables(parties))
-    unseen = np.ones(len(tables), dtype=bool)
-    classes: list[CanonicalClass] = []
-    while unseen.any():
-        # orbits are disjoint, so the least unseen table's orbit is all
-        # unseen and that table is its least member
-        rep = SignFunction(parties, int(tables[unseen.argmax()]))
-        orb = orbit_words(rep)
-        at = np.minimum(np.searchsorted(tables, orb), len(tables) - 1)
-        if not np.array_equal(tables[at], orb):
-            raise RuntimeError("symmetry orbit left the admissible family")
-        unseen[at] = False
-        classes.append(CanonicalClass(rep, len(orb), is_factorable(rep)))
+    least, size = orbit_least(parties, tables)
+    reps, first, members = np.unique(least, return_index=True, return_counts=True)
+    # a class holds every image of its orbit unless the orbit left the family
+    if not np.array_equal(members, size[first]):
+        raise RuntimeError("symmetry orbit left the admissible family")
+    classes = []
+    for table, orbit_size in zip(reps.tolist(), size[first].tolist()):
+        rep = SignFunction(parties, table)
+        classes.append(CanonicalClass(rep, orbit_size, is_factorable(rep)))
     factorable_count = sum(c.orbit_size for c in classes if c.factorable)
     if parties == 2:
         for cls in classes:
@@ -153,5 +147,4 @@ def classify(parties: int) -> EnumerationReport:
         total_admissible=len(tables),
         canonical_classes=tuple(classes),
         factorable_count=factorable_count,
-        wall_time=time.perf_counter() - start,
     )

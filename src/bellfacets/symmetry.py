@@ -8,108 +8,25 @@ antiface).  Together these form a group of order N! * 8^N * 2 whose action
 on packed tables is a bit permutation plus an optional complement.
 
 The canonical representative is the orbit member with the least
-packed-table integer.  Both orbit routes (the sorted orbit words the census
-reads, and the streaming canonical form) read one image generator: per
-observer permutation, a gather of the table's bits followed by one cached
-flat gather map of the 8^N local relabelings, taken in blocks so that the
-N=4 orbit (196608 tables) never materializes at once.
+packed-table integer.  This module is the only one that knows how the
+group acts.  One image generator applies it: per observer permutation, a
+gather of the table's bits followed by one cached flat gather map of the
+8^N local relabelings, taken in blocks so that the N=4 orbit (196608
+tables) never materializes at once.  It feeds the streaming canonical form
+and the sorted orbit words, and one walk over the orbit words
+(:func:`orbit_least`) serves both the census and ``reduce``'s canonical
+flags.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .fourier import SignFunction, _bit_tables, _table_bits, table_size
-
-
-@dataclass(frozen=True)
-class SymmetryElement:
-    """One relabeling: party routing, per-party swaps/negations, global sign.
-
-    ``party_permutation[i]`` is the observer receiving observer i's
-    (negated, possibly swapped) variable pair.  Negations apply before the
-    swap within each pair.
-    """
-
-    party_permutation: tuple[int, ...]
-    swaps: tuple[bool, ...]
-    negations: tuple[tuple[bool, bool], ...]
-    flip_sign: bool
-
-    @classmethod
-    def identity(cls, parties: int) -> "SymmetryElement":
-        return cls(
-            tuple(range(parties)),
-            (False,) * parties,
-            ((False, False),) * parties,
-            False,
-        )
-
-    @property
-    def parties(self) -> int:
-        return len(self.party_permutation)
-
-    def assignment_map(self) -> np.ndarray:
-        """Index map P with P[v] = transformed assignment of v."""
-        n = table_size(self.parties)
-        idx = np.arange(n)
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(self.parties):
-            u = (idx >> (2 * i)) & 1
-            w = (idx >> (2 * i + 1)) & 1
-            if self.negations[i][0]:
-                u = u ^ 1
-            if self.negations[i][1]:
-                w = w ^ 1
-            if self.swaps[i]:
-                u, w = w, u
-            j = self.party_permutation[i]
-            out |= (u << (2 * j)) | (w << (2 * j + 1))
-        return out
-
-    def apply(self, s: SignFunction) -> SignFunction:
-        """Transformed sign function t with t(P(v)) = +/- s(v)."""
-        moved = np.empty(table_size(s.parties), dtype=np.uint8)
-        moved[self.assignment_map()] = _table_bits(s.parties, (s.table,))[0]
-        if self.flip_sign:
-            moved ^= 1
-        return SignFunction(s.parties, _bit_tables(moved)[0])
-
-    def compose(self, other: "SymmetryElement") -> "SymmetryElement":
-        """Element applying ``other`` first, then ``self``."""
-        if self.parties != other.parties:
-            raise ValueError("cannot compose elements for different party counts")
-        perm = tuple(self.party_permutation[other.party_permutation[i]] for i in range(self.parties))
-        swaps = []
-        negs = []
-        for i in range(self.parties):
-            j = other.party_permutation[i]
-            ng = self.negations[j]
-            if other.swaps[i]:
-                ng = (ng[1], ng[0])
-            nh = other.negations[i]
-            negs.append((ng[0] ^ nh[0], ng[1] ^ nh[1]))
-            swaps.append(self.swaps[j] ^ other.swaps[i])
-        return SymmetryElement(perm, tuple(swaps), tuple(negs), self.flip_sign ^ other.flip_sign)
-
-
-def symmetry_group(parties: int) -> list[SymmetryElement]:
-    """All N! * 8^N * 2 relabelings, in a fixed deterministic order."""
-    elements = []
-    for perm in itertools.permutations(range(parties)):
-        for swaps in itertools.product((False, True), repeat=parties):
-            for negs in itertools.product(
-                ((False, False), (True, False), (False, True), (True, True)),
-                repeat=parties,
-            ):
-                for flip in (False, True):
-                    elements.append(SymmetryElement(perm, swaps, negs, flip))
-    return elements
 
 
 # Gather maps of the 8 sign-free relabelings of one observer's pair on the
@@ -169,6 +86,25 @@ def orbit_words(s: SignFunction) -> np.ndarray:
     words = packed.view(f"<u{packed.shape[-1]}").ravel()
     orbit = np.sort(np.concatenate((words, ~words)))
     return orbit[np.insert(orbit[1:] != orbit[:-1], 0, True)]
+
+
+def orbit_least(parties: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least table of each table's orbit and the orbit's size (N <= 3).
+
+    ``tables`` is a sorted uint64 array without repeats.  The first table
+    whose orbit is not yet known has its orbit gathered whole, and every
+    table of the set in that orbit is marked, so each orbit met is scanned
+    once whether or not the set is closed under the group.
+    """
+    least = np.zeros_like(tables)
+    size = np.zeros(len(tables), dtype=np.int64)
+    unseen = np.ones(len(tables), dtype=bool)
+    while unseen.any():
+        orbit = orbit_words(SignFunction(parties, int(tables[unseen.argmax()])))
+        at = np.minimum(np.searchsorted(tables, orbit), len(tables) - 1)
+        at = at[tables[at] == orbit]
+        least[at], size[at], unseen[at] = orbit[0], len(orbit), False
+    return least, size
 
 
 def canonicalize(s: SignFunction) -> SignFunction:

@@ -14,11 +14,11 @@ from bellfacets import (
     certify_tightness,
     enumerate_admissible,
     inequality_from_sign_function,
-    symmetry_group,
 )
 from bellfacets import catalog as cat
 from bellfacets import cli
 from bellfacets.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, _canonical_flags, main
+from relabel import symmetry_group
 
 SRC = str(Path(bellfacets.__file__).resolve().parents[1])
 

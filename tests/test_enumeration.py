@@ -14,7 +14,7 @@ from bellfacets import (
     is_admissible,
     is_factorable,
 )
-from bellfacets import enumeration
+from bellfacets import enumeration, symmetry
 from bellfacets.enumeration import classify
 from bellfacets.polytope import chsh_pattern
 
@@ -119,9 +119,9 @@ def test_unsupported_sizes(parties):
 
 
 def test_census_rejects_an_orbit_leaving_the_family(monkeypatch):
-    real = enumeration.orbit_words
+    real = symmetry.orbit_words
     # table 1 has a single -1 entry, which breaks a block condition
-    monkeypatch.setattr(enumeration, "orbit_words", lambda s: np.append(real(s), 1))
+    monkeypatch.setattr(symmetry, "orbit_words", lambda s: np.append(real(s), 1))
     with pytest.raises(RuntimeError, match="left the admissible family"):
         classify(2)
 

@@ -12,7 +12,6 @@ from bellfacets import (
     BoundNotAttained,
     NotAdmissible,
     SignFunction,
-    SymmetryElement,
     certify_tightness,
     enumerate_admissible,
     fourier_transform,
@@ -24,6 +23,7 @@ from bellfacets import (
     vertex_matrix,
 )
 from bellfacets.polytope import _WITNESS_PRIME, _bareiss_rank, _strategy_matrix
+from relabel import SymmetryElement
 
 
 @pytest.fixture(scope="module")

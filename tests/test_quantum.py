@@ -12,7 +12,6 @@ from bellfacets import (
     NotNormalized,
     ObservableDirection,
     SignFunction,
-    SymmetryElement,
     algebraic_maximum,
     bell_operator,
     enumerate_admissible,
@@ -20,6 +19,7 @@ from bellfacets import (
     inequality_from_sign_function,
     seesaw_maximize,
 )
+from relabel import SymmetryElement
 
 ROOT2 = np.sqrt(2.0)
 

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from bellfacets import (
     SignFunction,
-    SymmetryElement,
     canonicalize,
     enumerate_admissible,
     fourier_transform,
     is_admissible,
-    symmetry_group,
+    two_setting_reduction,
 )
+from bellfacets import symmetry
 from bellfacets.fourier import _bit_tables
-from bellfacets.symmetry import _sign_free_images, orbit_words
+from bellfacets.symmetry import _sign_free_images, orbit_least, orbit_words
+from relabel import SymmetryElement, symmetry_group
 
 
 @pytest.fixture(scope="module")
@@ -31,32 +32,6 @@ def admissible2():
 def test_group_order(group2):
     assert len(group2) == 2 * 4 * 16 * 2  # perms * swaps * negations * sign
     assert len(set(group2)) == len(group2)
-
-
-def test_identity_fixes_everything(group2):
-    rng = np.random.default_rng(5)
-    e = SymmetryElement.identity(2)
-    for _ in range(20):
-        s = SignFunction(2, int(rng.integers(0, 1 << 16)))
-        assert e.apply(s) == s
-
-
-def test_group_axioms_on_random_triples(group2):
-    rng = np.random.default_rng(17)
-    tables = [SignFunction(2, int(rng.integers(0, 1 << 16))) for _ in range(6)]
-    for _ in range(60):
-        g, h = (group2[int(i)] for i in rng.integers(0, len(group2), size=2))
-        s = tables[int(rng.integers(0, len(tables)))]
-        assert g.compose(h).apply(s) == g.apply(h.apply(s))
-
-
-def test_group_axioms_three_observers():
-    rng = np.random.default_rng(23)
-    group3 = symmetry_group(3)
-    for _ in range(25):
-        g, h = (group3[int(i)] for i in rng.integers(0, len(group3), size=2))
-        s = SignFunction(3, int.from_bytes(rng.bytes(8), "little"))
-        assert g.compose(h).apply(s) == g.apply(h.apply(s))
 
 
 def test_symmetries_preserve_admissibility(group2, admissible2):
@@ -159,6 +134,28 @@ def test_orbit_matches_reference_three_observers():
         reference = _reference_orbit(s, group3)
         assert set(orbit_words(s).tolist()) == reference
         assert canonicalize(s).table == min(reference)
+
+
+def test_orbit_least_on_a_set_not_closed_under_the_group(monkeypatch):
+    # the 256 two-setting tables hold only part of the orbits they meet; a
+    # few images of them add further members of those orbits
+    rng = np.random.default_rng(83)
+    reduced = [ineq.provenance for ineq in two_setting_reduction(3)]
+    group3 = symmetry_group(3)
+    images = [group3[int(i)].apply(reduced[int(k)])
+              for i, k in zip(rng.integers(0, len(group3), size=8), rng.integers(0, 256, size=8))]
+    tables = np.unique(np.array([s.table for s in reduced + images], dtype=np.uint64))
+    assert len(tables) > 256
+    scanned = []
+    monkeypatch.setattr(symmetry, "orbit_words", lambda s: scanned.append(s.table) or orbit_words(s))
+    least, size = orbit_least(3, tables)
+    orbits = dict(zip(least.tolist(), size.tolist()))
+    assert len(scanned) == len(orbits)
+    assert len(tables) < sum(orbits.values())
+    for table, low, n in zip(tables.tolist(), least.tolist(), size.tolist()):
+        s = SignFunction(3, table)
+        assert low == canonicalize(s).table
+        assert n == len(orbit_words(s))
 
 
 def test_orbit_four_observers_contains_sampled_images():
