@@ -4,7 +4,8 @@ An admissible N-observer table is four sections over the last observer's
 variable pair, one per assignment of that pair, and every section is an
 admissible (N-1)-observer table.  The last observer's block condition forces
 section 3 pointwise from the other three, so the stream is one recursion over
-section triples, starting from the six valid one-observer blocks; each step
+section triples, starting from the six valid one-observer blocks (the
+characters of the one-observer setting subsets and their negations); each step
 tests blocks of triples as arrays.  For two observers a private, independent
 scan of all 2^16 tables (``_exhaustive_two``) is the oracle the tests hold
 it to.
@@ -22,22 +23,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .fourier import SignFunction, _admissible, _table_bits, is_factorable, table_size
+from .fourier import (SignFunction, _admissible, _bit_tables, _fwht, _setting_subsets, _table_bits,
+                      is_factorable, table_size)
 from .polytope import chsh_pattern, inequality_from_sign_function
 from .symmetry import orbit_least
 
 
 class UnsupportedSize(ValueError):
     """Requested an enumeration outside the supported desk-scale range."""
-
-
-# The six 4-entry patterns a single observer's block may take: value tables of
-# +/-1, +/-u, +/-w on one variable pair (entry index bit 0 = first variable).
-_VALID_BLOCKS = np.array([
-    nib for nib in range(16)
-    if ((nib >> 0 & 1) + (nib >> 3 & 1)) == ((nib >> 1 & 1) + (nib >> 2 & 1))
-], dtype=np.uint64)
-_VALID_BLOCKS.setflags(write=False)
 
 
 def _exhaustive_two() -> list[int]:
@@ -54,10 +47,13 @@ _BLOCK = 1 << 16
 @lru_cache(maxsize=None)
 def _admissible_tables(parties: int) -> np.ndarray:
     """Packed admissible tables in stream order (memoized, N <= 3), as uint64;
-    N = 1 is the six blocks."""
+    N = 1 is the six blocks +/-1, +/-u, +/-w in table order: the characters of
+    the one-observer setting subsets and their negations."""
     if parties == 1:
-        return _VALID_BLOCKS
-    tables = np.fromiter(_table_stream(parties), dtype=np.uint64)
+        negative = _fwht(_setting_subsets(1)[:, None] == np.arange(4)) < 0
+        tables = np.sort(np.array(_bit_tables(np.vstack((negative, ~negative))), dtype=np.uint64))
+    else:
+        tables = np.fromiter(_table_stream(parties), dtype=np.uint64)
     tables.setflags(write=False)
     return tables
 

@@ -14,10 +14,12 @@ coefficient on T is sum_v s(v) * prod_{j in T} v_j, an even integer of
 magnitude at most 2^(2N).  This keeps all arithmetic exact; dividing by
 2^(2N) recovers the conventional normalized expansion.
 
-A sign function is *admissible* when its spectrum puts zero weight on every
-monomial containing both variables of some observer.  Admissible functions
-are the generators of the tight correlation inequalities built in
-:mod:`bellfacets.polytope`.
+Observer i's bits 2i and 2i+1 form its pair code c = u + 2w.  In a subset,
+code c = 0, 1, 2 addresses observer i's setting c and code 3, the local
+product u*w, addresses none (:func:`_setting_subsets`).  A sign function is
+*admissible* when its spectrum puts zero weight on every subset holding a
+code 3; admissible functions generate the tight correlation inequalities
+built in :mod:`bellfacets.polytope`.
 """
 
 from __future__ import annotations
@@ -148,6 +150,15 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _setting_subsets(parties: int) -> np.ndarray:
+    """The subset addressing each settings tuple, tuples in row-major order
+    (observer 0 slowest): observer i's setting n is code n at bits 2i."""
+    subsets = sum(np.ix_(*(np.arange(3) << 2 * i for i in range(parties)))).ravel()
+    subsets.setflags(write=False)
+    return subsets
+
+
 def fourier_transform(s: SignFunction) -> np.ndarray:
     """Exact integer spectrum of a sign function: a read-only int64 array of
     length 2^(2N), entry T the coefficient on packed variable subset T.
@@ -165,20 +176,21 @@ def fourier_transform(s: SignFunction) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _block_indices(parties: int) -> np.ndarray:
     """Entry indices of every observer's local blocks, shape (N, 4, 4^(N-1)):
-    row i holds observer i's pair codes u + 2w = 0, 3, 1, 2, i.e. (+,+),
-    (-,-), (+,-), (-,+), for each assignment of the other observers."""
+    row i holds observer i's pair codes 0, 1, 2, 3 for each assignment of the
+    other observers."""
     by_code = np.argsort(_pair_codes(parties).T, axis=1, kind="stable")  # ascending within a code
-    index = by_code.reshape(parties, 4, -1)[:, [0, 3, 1, 2]]
+    index = by_code.reshape(parties, 4, -1)
     index.setflags(write=False)
     return index
 
 
 def _admissible(tables: np.ndarray, parties: int) -> np.ndarray:
     """The block test, one verdict per table (..., 2^(2N)): for every observer and
-    assignment r of the other variables, s(+,+,r) + s(-,-,r) = s(+,-,r) + s(-,+,r).
+    assignment r of the other variables, the code-3 character u*w sums to zero
+    over the block: s(0, r) - s(1, r) - s(2, r) + s(3, r) = 0.
     It is linear, so tables may hold +/-1 values or their 0/1 bits."""
     block = tables[..., _block_indices(parties)]
-    return np.all(block[..., 0, :] + block[..., 1, :] == block[..., 2, :] + block[..., 3, :], axis=(-2, -1))
+    return np.all(block[..., 0, :] + block[..., 3, :] == block[..., 1, :] + block[..., 2, :], axis=(-2, -1))
 
 
 def is_admissible(s: SignFunction) -> bool:

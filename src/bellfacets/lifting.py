@@ -37,7 +37,6 @@ class LiftedInequality:
     attained; ``degenerate`` flags a constant expression.
     """
 
-    source: BellInequality
     constant: int
     marginal_coeffs: tuple[tuple[int, int], ...]
     correlations: tuple[tuple[tuple[int, ...], int], ...]
@@ -65,7 +64,6 @@ def lift(ineq: BellInequality) -> LiftedInequality:
         if np.count_nonzero(pos) >= 2
     )
     return LiftedInequality(
-        source=ineq,
         constant=constant,
         marginal_coeffs=tuple(marginals),
         correlations=correlations,

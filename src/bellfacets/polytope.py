@@ -5,13 +5,15 @@ full-correlation tensor is the outer product of the per-observer outcome
 triples.  Changing variables to the products with the reference setting shows
 every such tensor equals a *vertex* x * (1, u_0, w_0) x ... x (1, u_{N-1},
 w_{N-1}), so the polytope of locally modelable correlation tensors is the
-convex hull of the 2^(2N+1) vertices.
+convex hull of the 2^(2N+1) vertices.  Entry j of the +1 vertex of assignment
+v is the character (-1)^|v & T_j| of the subset T_j addressing settings tuple j.
 
 An admissible sign function s induces the inequality |<g, E>| <= 2^(2N),
-where g places each spectrum coefficient at the settings tuple its monomial
-addresses.  Every vertex evaluates to exactly +/-2^(2N) against such a g
-(the reconstruction identity), which is what makes the bound classical and
-the saturating half of the vertices span the whole space.
+where g gathers at each settings tuple the spectrum coefficient of its
+subset; admissibility makes every coefficient it leaves out zero.  Every
+vertex evaluates to exactly +/-2^(2N) against such a g (the reconstruction
+identity), which is what makes the bound classical and the saturating half
+of the vertices span the whole space.
 
 Tightness is certified with exact arithmetic, never floating point.  The
 saturating vertices' rank is first taken modulo a prime p: a minor that is
@@ -33,7 +35,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fourier import SignFunction, _pair_codes, fourier_transform, is_admissible, table_size
+from .fourier import (SignFunction, _check_parties, _fwht, _setting_subsets, fourier_transform,
+                      is_admissible, table_size)
 
 
 class NotAdmissible(ValueError):
@@ -48,11 +51,12 @@ class BoundNotAttained(ValueError):
 def vertex_matrix(parties: int) -> np.ndarray:
     """The 2^(2N+1) vertices as flattened (3,)*N tensors, one row each:
     row 2v is K[v] = (1, u_0, w_0) x ... x (1, u_{N-1}, w_{N-1}) for
-    assignment v, row 2v+1 is -K[v]."""
-    # (1, u, w) for pair code u + 2w = 0, 1, 2, 3
-    factors = np.array([[1, 1, 1], [1, -1, 1], [1, 1, -1], [1, -1, -1]], dtype=np.int64)
-    settings = np.arange(3 ** parties)[:, None] // 3 ** np.arange(parties - 1, -1, -1) % 3
-    rows = factors[_pair_codes(parties)[:, None, :], settings].prod(axis=-1)
+    assignment v, row 2v+1 is -K[v].  Column j of K[v] is the character
+    (-1)^|v & T_j| of the subset T_j addressing settings tuple j."""
+    _check_parties(parties)
+    subsets = _setting_subsets(parties)
+    # the transform of the indicator of T_j is T_j's character over all v
+    rows = _fwht(subsets[:, None] == np.arange(table_size(parties))).T
     mat = np.stack((rows, -rows), axis=1).reshape(-1, 3 ** parties)
     mat.setflags(write=False)
     return mat
@@ -63,7 +67,7 @@ class BellInequality:
     """Integer coefficient tensor over settings tuples with classical bound.
 
     ``coeffs[n_0, ..., n_{N-1}]`` is the unnormalized spectrum coefficient of
-    the monomial addressing that settings tuple; ``bound`` is 2^(2N) for
+    the variable subset addressing that settings tuple; ``bound`` is 2^(2N) for
     inequalities generated from admissible sign functions.
     """
 
@@ -77,23 +81,11 @@ class BellInequality:
             raise ValueError(f"coeffs must have shape {(3,) * self.parties}")
 
 
-@lru_cache(maxsize=None)
-def _settings_placement(parties: int) -> tuple[np.ndarray, np.ndarray]:
-    """The variable subsets that address a settings tuple, and that tuple's
-    flat index in the (3,)*N tensor.  Observer i's pair code u + 2w is its
-    setting, except code 3: a local product, which addresses none."""
-    codes = _pair_codes(parties)
-    keep = (codes < 3).all(axis=1)
-    return np.flatnonzero(keep), codes[keep] @ 3 ** np.arange(parties - 1, -1, -1)
-
-
 def inequality_from_sign_function(s: SignFunction) -> BellInequality:
     """Place the spectrum of an admissible sign function on settings tuples."""
     if not is_admissible(s):
         raise NotAdmissible(f"{s.to_text()} has a local-product Fourier component")
-    subsets, flat = _settings_placement(s.parties)
-    coeffs = np.zeros((3,) * s.parties, dtype=np.int64)
-    coeffs.reshape(-1)[flat] = fourier_transform(s)[subsets]
+    coeffs = fourier_transform(s)[_setting_subsets(s.parties)].reshape((3,) * s.parties)
     coeffs.setflags(write=False)
     return BellInequality(s.parties, coeffs, table_size(s.parties), provenance=s)
 

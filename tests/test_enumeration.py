@@ -56,6 +56,13 @@ def _reference_tables(parties):
     return tuple(_reference_stream(parties))
 
 
+def test_one_observer_blocks_match_the_nibble_predicate():
+    # the blocks come from the characters of the one-observer setting subsets
+    blocks = enumeration._admissible_tables(1)
+    assert blocks.dtype == np.uint64 and not blocks.flags.writeable
+    assert blocks.tolist() == list(_reference_tables(1)) == [0, 3, 5, 10, 12, 15]
+
+
 @pytest.mark.parametrize("parties", [2, 3])
 def test_stream_matches_triple_loop_reference(parties):
     assert [s.table for s in enumerate_admissible(parties)] == list(_reference_tables(parties))

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,7 @@ from bellfacets import (
     is_factorable,
     table_size,
 )
-from bellfacets.fourier import _admissible, _fwht, _pair_codes
-from bellfacets.polytope import _settings_placement
+from bellfacets.fourier import _admissible, _fwht, _pair_codes, _setting_subsets
 
 
 def naive_spectrum(s):
@@ -72,22 +73,20 @@ def test_assignment_values():
 
 
 def test_monomial_local_product():
-    subsets, _ = _settings_placement(2)
-    assert 0b0011 not in subsets  # both variables of observer 0
-    assert 0b0101 in subsets
-    for parties in (2, 3):
-        subsets, _ = _settings_placement(parties)
+    assert 0b0011 not in _setting_subsets(2)  # both variables of observer 0
+    assert 0b0101 in _setting_subsets(2)
+    for parties in (1, 2, 3, 4):
         kept = [t for t in range(table_size(parties)) if subset_settings(parties, t) is not None]
-        assert subsets.tolist() == kept
+        assert sorted(_setting_subsets(parties).tolist()) == kept  # no code 3, each subset once
 
 
 def test_monomial_settings_round_trip():
-    for parties in (2, 3):
-        subsets, flat = _settings_placement(parties)
-        assert sorted(flat.tolist()) == list(range(3 ** parties))  # one-to-one onto the tuples
-        for subset, index in zip(subsets.tolist(), flat.tolist()):
-            settings = subset_settings(parties, subset)
-            assert index == sum(n * 3 ** (parties - 1 - i) for i, n in enumerate(settings))
+    for parties in (1, 2, 3, 4):
+        subsets = _setting_subsets(parties)
+        assert not subsets.flags.writeable
+        # one-to-one onto the 3^N tuples, row-major with observer 0 slowest
+        decoded = [subset_settings(parties, t) for t in subsets.tolist()]
+        assert decoded == list(product(range(3), repeat=parties))
 
 
 # ── forward transform ───────────────────────────────────────────────────────

@@ -72,6 +72,12 @@ def test_vertex_rows_match_the_product_formula():
             assert np.array_equal(mat[2 * bits + 1], _vertex_row(parties, bits, -1))
 
 
+@pytest.mark.parametrize("parties", [1, 5])
+def test_vertex_matrix_rejects_unsupported_parties(parties):
+    with pytest.raises(ValueError, match="parties must be in"):
+        vertex_matrix(parties)
+
+
 def test_unit_resolution_spot_checks():
     rng = np.random.default_rng(11)
     for parties, trials in ((2, 30), (3, 10)):
