@@ -21,7 +21,12 @@ Stop rule: a restart ends, converged, after the first iteration (a state
 step, then every observer's direction step) that raises the objective by
 less than _IMPROVEMENT_THRESHOLD = 1e-10 times the inequality's bound; one
 that reaches _MAX_ITERATIONS = 10 000 iterations first ends there, not
-converged.
+converged.  A slow tail shrinks its gains by a near-constant ratio, so after
+every _EXTRAPOLATE_EVERY = 5 iterations of a restart whose last two gains fall,
+d_k < d_{k-1}, it tries Aitken's delta-squared step: each direction n moves to
+normalize(n + rho/(1 - rho) (n - n_before)), rho = d_k/d_{k-1}, n_before its
+value when the iteration began.  The trial is kept only if its operator's top
+eigenvalue exceeds the objective; it is not an iteration and not in the trace.
 
 See-saw yields lower bounds only.  Each report is the run of highest final
 value among the restarts used (NaN never wins), the earliest on a tie, so the
@@ -50,6 +55,7 @@ _IMPROVEMENT_THRESHOLD = 1e-10  # the stop rule (module docstring), relative to 
 _MAX_ITERATIONS = 10_000
 _ZERO_AMPLITUDE = 1e-12
 _ROW_BLOCK = 64  # rows advanced together; bounds every stacked array
+_EXTRAPOLATE_EVERY = 5  # iterations of a row between its extrapolation trials
 
 
 class NotNormalized(ValueError):
@@ -66,7 +72,7 @@ class ObservableDirection:
         if self.directions.ndim != 3 or self.directions.shape[1:] != (3, 3):
             raise ValueError("directions must have shape (parties, 3 settings, 3 components)")
         norms = np.linalg.norm(self.directions, axis=2)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # NaN fails too
             raise ValueError("every direction must be a unit vector within 1e-12")
 
     @property
@@ -106,6 +112,11 @@ def _operators(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         coords = coords.reshape(*lead, 3, -1).swapaxes(-1, -2) @ dirs[..., party, :, :]
     flat = coords.reshape(*lead, 1, -1) @ _pauli_basis(parties)
     return flat.view(np.complex128).reshape(*lead, 2 ** parties, 2 ** parties)
+
+
+def _top_values(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of each Bell operator: the objective of the directions under their best state."""
+    return np.linalg.eigvalsh(_operators(coeffs, dirs))[:, -1]
 
 
 def bell_operator(ineq: BellInequality, dirs: ObservableDirection) -> np.ndarray:
@@ -153,7 +164,7 @@ def evaluate_state(ineq: BellInequality, dirs: ObservableDirection, state: np.nd
     state = np.asarray(state, dtype=np.complex128).ravel()
     if state.shape != (2 ** ineq.parties,):
         raise ValueError(f"state must have 2^{ineq.parties} amplitudes")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(state) - 1.0) <= 1e-12:  # NaN fails too
         raise NotNormalized("state vector must have unit norm within 1e-12")
     return float(np.real(np.conj(state) @ bell_operator(ineq, dirs) @ state))
 
@@ -220,14 +231,16 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
     used = np.full(len(ineqs), restarts)  # lowered to r + 1 once restart r reaches the cap
     runs = [[None] * restarts for _ in ineqs]  # runs[e][r]: (value, converged, trace, dirs, state)
     queue = ((e, r) for e in range(len(ineqs)) for r in range(restarts))
-    owner = restart = np.zeros(0, np.intp)
-    dirs, prev, traces = starts[:0], np.zeros(0), []
+    owner = restart = count = np.zeros(0, np.intp)
+    dirs, prev, last_gain, traces = starts[:0], np.zeros(0), np.zeros(0), []
     while True:
         admit = list(itertools.islice(((e, r) for e, r in queue if r < used[e]), _ROW_BLOCK - len(traces)))
         if admit:
             new_owner, new_restart = np.array(admit, dtype=np.intp).T
             owner, restart = np.append(owner, new_owner), np.append(restart, new_restart)
+            count = np.append(count, np.zeros(len(admit), np.intp))
             dirs, prev = np.concatenate((dirs, starts[new_restart])), np.append(prev, [-np.inf] * len(admit))
+            last_gain = np.append(last_gain, [np.nan] * len(admit))
             traces += [[] for _ in admit]
             g, tol = coeffs[owner], _IMPROVEMENT_THRESHOLD * scales[owner]
         if not traces:
@@ -240,7 +253,7 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
             raise RuntimeError(f"state step decreased the objective from {was!r} to {now!r}")
         state = eigvecs[:, :, -1]
         corr = _correlations(state, parties)
-        stepped = value
+        last_dirs, stepped = dirs.copy(), value
         for party, party_dirs in enumerate(dirs.transpose(1, 0, 2, 3)):
             score = _observer_scores(g, dirs, corr, party)
             norms = np.sqrt(np.add.reduce(score * score, 2, keepdims=True))
@@ -253,18 +266,33 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
 
         for trace, before, after in zip(traces, value.tolist(), stepped.tolist()):
             trace += (before, after)
-        converged, prev = stepped - prev < tol, stepped
-        finished = converged | [len(trace) >= 2 * _MAX_ITERATIONS for trace in traces]
-        if not finished.any():
-            continue
+        count += 1
+        gain, prev = stepped - prev, stepped
+        converged = gain < tol
+        finished = converged | (count >= _MAX_ITERATIONS)
         for i in np.flatnonzero(finished).tolist():
             e, r = owner[i], restart[i]
             runs[e][r] = (float(prev[i]), bool(converged[i]), np.array(traces[i]), dirs[i].copy(), state[i].copy())
             if prev[i] >= caps[e] - 1e-12 * max(1.0, caps[e]):
                 used[e] = min(used[e], r + 1)
-        keep = ~finished & (restart < used[owner])
-        owner, restart, dirs, prev, g, tol = (x[keep] for x in (owner, restart, dirs, prev, g, tol))
-        traces = [trace for trace, k in zip(traces, keep.tolist()) if k]
+
+        # the extrapolation trial (module docstring), on rows that go on
+        trial = np.flatnonzero(~finished & (count % _EXTRAPOLATE_EVERY == 0) & (last_gain > gain) & (gain > 0))
+        if trial.size:
+            rho = (gain[trial] / last_gain[trial])[:, None, None, None]
+            step = dirs[trial] + rho / (1 - rho) * (dirs[trial] - last_dirs[trial])
+            norms = np.sqrt(np.add.reduce(step * step, 3, keepdims=True))
+            ok = (norms >= _DEGENERATE_NORM).all((1, 2, 3))
+            trial, step = trial[ok], step[ok] / norms[ok]
+            top = _top_values(g[trial], step)
+            better = top > prev[trial]
+            dirs[trial[better]], prev[trial[better]] = step[better], top[better]
+        last_gain = gain
+        if finished.any():
+            keep = ~finished & (restart < used[owner])
+            owner, restart, count, dirs, prev, last_gain, g, tol = (
+                x[keep] for x in (owner, restart, count, dirs, prev, last_gain, g, tol))
+            traces = [trace for trace, k in zip(traces, keep.tolist()) if k]
 
     reports = []
     for ineq, done, n, scale, cap in zip(ineqs, runs, used.tolist(), scales.tolist(), caps.tolist()):

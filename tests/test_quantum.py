@@ -77,12 +77,22 @@ def test_directions_must_be_unit():
         ObservableDirection(bad)
 
 
+def test_nan_directions_are_not_unit():
+    with pytest.raises(ValueError, match="unit vector"):
+        ObservableDirection(np.full((2, 3, 3), np.nan))
+
+
 # ── state evaluation ────────────────────────────────────────────────────────
 
 
 def test_evaluate_state_requires_normalization(chsh_inequality, chsh_optimal_dirs):
     with pytest.raises(NotNormalized):
         evaluate_state(chsh_inequality, chsh_optimal_dirs, np.array([1.0, 0, 0, 1.0]))
+
+
+def test_evaluate_state_rejects_a_nan_state(chsh_inequality, chsh_optimal_dirs):
+    with pytest.raises(NotNormalized):
+        evaluate_state(chsh_inequality, chsh_optimal_dirs, np.full(4, np.nan))
 
 
 def test_product_state_respects_classical_bound(chsh_inequality, chsh_optimal_dirs):
@@ -210,23 +220,39 @@ def _reference_direction_score(psi_tensor, terms, dirs, party, setting, parties)
     return np.real(np.einsum("kqp,pq->k", quantum._PAULI, reduced))
 
 
-def _reference_seesaw(ineq, restarts, seed, improvement_threshold=1e-10, max_iterations=10_000):
-    """(best value, its trace, restarts used), one (observer, setting) at a time."""
+def _reference_trial(dirs, before, rho):
+    """normalize(dirs + rho / (1 - rho) (dirs - before)) per (observer, setting), or None
+    when a step is shorter than 1e-12."""
+    trial = np.empty_like(dirs)
+    for party, setting in np.ndindex(dirs.shape[:2]):
+        step = dirs[party, setting] + rho / (1 - rho) * (dirs[party, setting] - before[party, setting])
+        norm = np.linalg.norm(step)
+        if norm < 1e-12:
+            return None
+        trial[party, setting] = step / norm
+    return trial
+
+
+def _reference_seesaw(ineq, restarts, seed, improvement_threshold=1e-10, max_iterations=10_000,
+                      extrapolate_every=5):
+    """(best value, its trace, restarts used, trials accepted in all restarts), one
+    (observer, setting) at a time."""
     parties = ineq.parties
     terms = _terms(ineq)
     used = [sorted({s[i] for s, _ in terms}) for i in range(parties)]
     scale, cap = float(ineq.bound), float(algebraic_maximum(ineq))
-    best_value, best_trace, restarts_used = -np.inf, (), 0
+    best_value, best_trace, restarts_used, accepted = -np.inf, (), 0, 0
     for child in np.random.SeedSequence(seed).spawn(restarts):
         restarts_used += 1
         dirs = np.random.default_rng(child).normal(size=(parties, 3, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        trace, prev = [], -np.inf
-        for _ in range(max_iterations):
+        trace, prev, last_gain = [], -np.inf, np.nan
+        for iteration in range(1, max_iterations + 1):
             eigvals, eigvecs = np.linalg.eigh(_reference_operator(ineq, ObservableDirection(dirs.copy())))
             value = float(eigvals[-1])
             trace.append(value)
             psi_tensor = eigvecs[:, -1].reshape((2,) * parties)
+            before = dirs.copy()
             for party in range(parties):
                 for setting in used[party]:
                     score = _reference_direction_score(psi_tensor, terms, dirs, party, setting, parties)
@@ -236,15 +262,22 @@ def _reference_seesaw(ineq, restarts, seed, improvement_threshold=1e-10, max_ite
                     value += norm - float(dirs[party, setting] @ score)
                     dirs[party, setting] = score / norm
             trace.append(value)
-            done = value - prev < improvement_threshold * scale
-            prev = value
-            if done:
+            gain, prev = value - prev, value
+            if gain < improvement_threshold * scale:
                 break
+            # Aitken's delta-squared trial on a shrinking pair of gains, kept only if higher
+            if iteration < max_iterations and iteration % extrapolate_every == 0 and last_gain > gain > 0:
+                trial = _reference_trial(dirs, before, gain / last_gain)
+                if trial is not None:
+                    top = float(np.linalg.eigvalsh(_reference_operator(ineq, ObservableDirection(trial)))[-1])
+                    if top > prev:
+                        dirs, prev, accepted = trial, top, accepted + 1
+            last_gain = gain
         if prev > best_value:
             best_value, best_trace = prev, tuple(trace)
         if best_value >= cap - 1e-12 * max(1.0, cap):
             break
-    return best_value, best_trace, restarts_used
+    return best_value, best_trace, restarts_used, accepted
 
 
 @pytest.fixture(scope="module")
@@ -286,13 +319,44 @@ def test_observer_scores_match_per_setting_reference(reference_inequalities):
 
 
 def test_seesaw_matches_reference_loop(chsh_inequality, mermin_inequality):
-    for ineq, restarts, seed in ((chsh_inequality, 4, 1), (chsh_inequality, 6, 42),
-                                 (mermin_inequality, 4, 3), (mermin_inequality, 32, 7)):
-        value, trace, restarts_used = _reference_seesaw(ineq, restarts, seed)
+    dense, four = (inequality_from_sign_function(SignFunction.from_text(t)) for t in (DENSE3, N4_FIXED))
+    accepted = 0
+    # an accepted trial scales rounding differences by rho / (1 - rho), hundreds on the
+    # dense tail, so the runs that take one agree to 1e-9 of the bound, as in the batch test
+    for ineq, restarts, seed, tol in ((chsh_inequality, 4, 1, 1e-9), (chsh_inequality, 6, 42, 1e-9),
+                                      (mermin_inequality, 4, 3, 1e-9), (mermin_inequality, 32, 7, 1e-9),
+                                      (dense, 1, 1, 1e-9 * dense.bound), (four, 2, 7, 1e-9 * four.bound)):
+        value, trace, restarts_used, trials = _reference_seesaw(ineq, restarts, seed)
         report = seesaw_maximize(ineq, restarts=restarts, seed=seed)
         assert len(report.objective_trace) == len(trace)
-        assert report.quantum_max == pytest.approx(value, abs=1e-9)
+        assert report.quantum_max == pytest.approx(value, abs=tol)
         assert report.restarts_used == restarts_used
+        accepted += trials
+    assert accepted > 0  # the extrapolation step is exercised, not only skipped
+
+
+def test_rejected_trials_leave_the_run_unchanged(monkeypatch):
+    ineqs = [inequality_from_sign_function(SignFunction.from_text(t)) for t in (DENSE3, N4_FIXED)]
+    trials = []
+
+    def rejected(coeffs, dirs):
+        trials.append(len(dirs))
+        return np.full(len(dirs), -np.inf)
+
+    monkeypatch.setattr(quantum, "_top_values", rejected)
+    with_rejected = quantum.seesaw_maximize_all(ineqs, restarts=2, seed=1)
+    assert trials
+    monkeypatch.setattr(quantum, "_EXTRAPOLATE_EVERY", quantum._MAX_ITERATIONS + 1)
+    without = quantum.seesaw_maximize_all(ineqs, restarts=2, seed=1)
+    assert all(_same_report(a, b) for a, b in zip(with_rejected, without))
+
+
+def test_extrapolation_shortens_the_dense_tail():
+    # without trials this restart runs 982 iterations to ratio 1.9999999511...
+    report = seesaw_maximize(inequality_from_sign_function(SignFunction.from_text(DENSE3)), restarts=1, seed=1)
+    assert report.converged
+    assert len(report.objective_trace) // 2 <= 100
+    assert report.violation_ratio >= 1.9999999511
 
 
 def test_seesaw_raises_when_a_step_decreases(chsh_inequality, monkeypatch):
@@ -353,19 +417,20 @@ def test_seesaw_ratio_is_symmetry_invariant(index, g):
 
 
 def test_seesaw_ratio_is_symmetry_invariant_three_observers(census3):
-    # the five dense classes (algebraic ratio 4) need seconds per see-saw
-    fast = [c.representative for c in census3.canonical_classes
-            if algebraic_maximum(inequality_from_sign_function(c.representative)) < 4 * 64]
-    assert len(fast) == 71
+    classes = [c.representative for c in census3.canonical_classes]
+    dense = [k for k, s in enumerate(classes)
+             if algebraic_maximum(inequality_from_sign_function(s)) == 4 * 64]
+    assert len(classes) == 76 and len(dense) == 5
     rng = np.random.default_rng(29)
-    for index in rng.choice(len(fast), size=3, replace=False).tolist():
+    picks = [int(rng.choice(dense))] + rng.choice(len(classes), size=2, replace=False).tolist()
+    for index in picks:
         g = SymmetryElement(
             tuple(rng.permutation(3).tolist()),
             tuple(bool(b) for b in rng.integers(0, 2, size=3)),
             tuple((bool(a), bool(b)) for a, b in rng.integers(0, 2, size=(3, 2))),
             bool(rng.integers(0, 2)),
         )
-        assert abs(_ratio(g.apply(fast[index])) - _ratio(fast[index])) <= INVARIANCE_TOL
+        assert abs(_ratio(g.apply(classes[index])) - _ratio(classes[index])) <= INVARIANCE_TOL
 
 
 # ── lockstep batch ──────────────────────────────────────────────────────────
@@ -394,7 +459,7 @@ def test_batch_matches_reference_loop(census2):
     cases = list(zip(two, quantum.seesaw_maximize_all(two, restarts=32, seed=7), [32] * 6))
     cases.append((four, quantum.seesaw_maximize_all([four], restarts=2, seed=7)[0], 2))
     for ineq, report, restarts in cases:
-        value, trace, restarts_used = _reference_seesaw(ineq, restarts, 7)
+        value, trace, restarts_used, _ = _reference_seesaw(ineq, restarts, 7)
         assert report.restarts_used == restarts_used
         assert abs(report.quantum_max - value) <= 1e-9 * ineq.bound
 
