@@ -6,9 +6,8 @@ admissible (N-1)-observer table.  The last observer's block condition forces
 section 3 pointwise from the other three, so the stream is one recursion over
 section triples, starting from the six valid one-observer blocks (the
 characters of the one-observer setting subsets and their negations); each step
-tests blocks of triples as arrays.  For two observers a private, independent
-scan of all 2^16 tables (``_exhaustive_two``) is the oracle the tests hold
-it to.
+tests blocks of triples as arrays.  The tests hold it to an independent scan
+of all 2^16 tables for two observers.
 
 The census (:func:`classify`) groups the sorted tables by the least table
 of their orbits, which the symmetry module's orbit walk supplies; each
@@ -23,19 +22,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .fourier import (SignFunction, _admissible, _bit_tables, _fwht, _setting_subsets, _table_bits,
-                      is_factorable, table_size)
+from .fourier import SignFunction, _bit_tables, _fwht, _setting_subsets, is_factorable, table_size
 from .polytope import chsh_pattern, inequality_from_sign_function
 from .symmetry import orbit_least
 
 
 class UnsupportedSize(ValueError):
     """Requested an enumeration outside the supported desk-scale range."""
-
-
-def _exhaustive_two() -> list[int]:
-    """Vectorized scan of all 2^16 tables via the block test, in table order."""
-    return np.flatnonzero(_admissible(_table_bits(2, range(1 << 16)), 2)).tolist()
 
 
 # Candidate (s0, s1, s2) triples tested per block: 12 blocks cover N=3, and at

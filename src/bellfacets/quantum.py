@@ -178,7 +178,6 @@ def algebraic_maximum(ineq: BellInequality) -> int:
 class QuantumValueReport:
     """Best quantum value found by see-saw, on the integer coefficient scale."""
 
-    inequality_id: str
     quantum_max: float
     violation_ratio: float
     directions: ObservableDirection
@@ -302,7 +301,6 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
         if not value > -np.inf:
             raise RuntimeError("see-saw found no finite objective value")
         reports.append(QuantumValueReport(
-            ineq.provenance.to_text() if ineq.provenance is not None else "", value,
-            min(value / scale, cap / scale), ObservableDirection(best_dirs), _canonical_phase(best_state),
-            n, converged, tuple(trace.tolist())))
+            value, min(value / scale, cap / scale), ObservableDirection(best_dirs),
+            _canonical_phase(best_state), n, converged, tuple(trace.tolist())))
     return reports

@@ -4,14 +4,16 @@ The natural equivalences of the N-observer, three-setting problem are:
 permuting observers, exchanging an observer's two non-reference settings
 (swapping its variable pair), flipping outcomes (negating either variable of
 a pair), and negating the whole function (exchanging a bound's face with its
-antiface).  Together these form a group of order N! * 8^N * 2 whose action
-on packed tables is a bit permutation plus an optional complement.
+antiface).  Together these form a group of order N! * 8^N * 2.  Every
+sign-free element acts on an assignment v of the 2N variables as
+v -> move(v) XOR m: the move routes each observer's pair to an observer,
+swapped or not, and the mask m holds the negated variables.
 
 The canonical representative is the orbit member with the least
 packed-table integer.  This module is the only one that knows how the
-group acts.  One image generator applies it: per observer permutation, a
-gather of the table's bits followed by one cached flat gather map of the
-8^N local relabelings, taken in blocks so that the N=4 orbit (196608
+group acts.  One image generator applies it: the table's dyadic shifts
+s(v XOR m), one row per mask, gathered once, then read through a cached
+table of the N! * 2^N moves in blocks, so that the N=4 orbit (196608
 tables) never materializes at once.  It feeds the streaming canonical form
 and the sorted orbit words, and one walk over the orbit words
 (:func:`orbit_least`) serves both the census and ``reduce``'s canonical
@@ -26,57 +28,43 @@ from typing import Iterator
 
 import numpy as np
 
-from .fourier import SignFunction, _bit_tables, _table_bits, table_size
+from .fourier import SignFunction, _bit_tables, _pair_codes, _table_bits, table_size
 
-
-# Gather maps of the 8 sign-free relabelings of one observer's pair on the
-# axis index a = u + 2w: negating u or w, then optionally swapping them.
-_LOCAL_MAPS = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0],
-                        [0, 2, 1, 3], [1, 3, 0, 2], [2, 0, 3, 1], [3, 1, 2, 0]])
-
-# Image entries gathered per block: an N=3 observer permutation's 512 images
-# are one block, an N=4 one's 4096 images are sixteen.
+# Image entries gathered per block: the N=3 orbit is three blocks of 16
+# moves, and each of the 384 N=4 moves is one block.
 _BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _local_gather(parties: int) -> np.ndarray:
-    """Flat gather map of the 8^N local relabelings, shape (8^N, 4^N).
-
-    The table is a (4,)*N tensor with one axis per observer; the map is
-    that of one gather per axis, so row r reads the table under the r-th
-    combination of per-observer relabelings.
-    """
-    n = table_size(parties)
-    # intp spares a cast on every gather; the 1M-entry N=4 map stays uint8
-    # (1 MB) and is cast a block at a time.
-    index = np.arange(n, dtype=np.intp if parties < 4 else np.uint8).reshape((4,) * parties)
-    for axis in range(parties):
-        # axis `axis` of size 4 becomes (8, 4); the 8 stays in place
-        index = np.take(index, _LOCAL_MAPS, axis=2 * axis)
-    # (8, 4) * N -> (8,) * N + (4,) * N: one row per local relabeling
-    evens, odds = tuple(range(0, 2 * parties, 2)), tuple(range(1, 2 * parties, 2))
-    gather = index.transpose(evens + odds).reshape(-1, n)
-    gather.setflags(write=False)
-    return gather
+def _moves(parties: int) -> np.ndarray:
+    """Assignment index after each move, shape (N! * 2^N, 4^N): the row of
+    observer permutation perm and one swap choice per pair maps v to the
+    assignment whose observer i holds observer perm[i]'s pair code in v,
+    its two variables exchanged where that pair is swapped."""
+    codes = _pair_codes(parties)
+    swapped = codes >> 1 | (codes & 1) << 1
+    shifts = 2 * np.arange(parties)
+    moves = np.array([(np.where(swaps, swapped, codes)[:, perm] << shifts).sum(axis=1)
+                      for perm in itertools.permutations(range(parties))
+                      for swaps in itertools.product((False, True), repeat=parties)])
+    moves.setflags(write=False)
+    return moves
 
 
 def _sign_free_images(s: SignFunction) -> Iterator[np.ndarray]:
     """Bit rows of s under every sign-free relabeling (repeats included), a
     block of at most _BLOCK entries at a time.
 
-    Every sign-free element is a local relabeling after an observer
-    permutation, so one transpose per permutation followed by the cached
-    local map reaches them all; gathering rather than scattering yields the
-    inverses, the same set.
+    Row m of the shifts is s(v XOR m); gathering it through move k gives the
+    image v -> s(move_k(v) XOR m), one row per (move, mask) pair.  Gathering
+    rather than scattering yields the inverses, the same set.
     """
-    cube = _table_bits(s.parties, (s.table,))[0].reshape((4,) * s.parties)
-    local = _local_gather(s.parties)
-    step = max(1, _BLOCK // table_size(s.parties))
-    for perm in itertools.permutations(range(s.parties)):
-        moved = cube.transpose(perm).ravel()
-        for start in range(0, len(local), step):
-            yield moved[local[start:start + step]]
+    n = table_size(s.parties)
+    shifted = _table_bits(s.parties, (s.table,))[0][np.arange(n)[:, None] ^ np.arange(n)]
+    moves = _moves(s.parties)
+    step = max(1, _BLOCK // (n * n))
+    for start in range(0, len(moves), step):
+        yield np.take(shifted, moves[start:start + step], axis=1).reshape(-1, n)
 
 
 def orbit_words(s: SignFunction) -> np.ndarray:

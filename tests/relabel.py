@@ -2,8 +2,9 @@
 orbit routes (``orbit_words``, ``orbit_least``, ``canonicalize``) are held to.
 
 It acts one element at a time by an explicit assignment map, independently of
-the library's gather maps.  No ``assert`` here: helper modules are not
-rewritten by pytest, so an assert would vanish under ``python -O``.
+the library's move table and dyadic shifts.  No ``assert`` here: helper
+modules are not rewritten by pytest, so an assert would vanish under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ class SymmetryElement(NamedTuple):
     negations: tuple[tuple[bool, bool], ...]
     flip_sign: bool
 
-    def apply(self, s: SignFunction) -> SignFunction:
-        """Transformed sign function t with t(P(v)) = +/- s(v), where P moves
-        assignment v as the element moves the variables."""
-        idx = np.arange(table_size(s.parties))
+    def assignment_map(self) -> np.ndarray:
+        """P, with P[v] the assignment v becomes as the element moves the
+        variables (the global sign plays no part)."""
+        idx = np.arange(table_size(len(self.party_permutation)))
         target = np.zeros_like(idx)
         for i, j in enumerate(self.party_permutation):
             u = (idx >> (2 * i) & 1) ^ int(self.negations[i][0])
@@ -41,8 +42,12 @@ class SymmetryElement(NamedTuple):
             if self.swaps[i]:
                 u, w = w, u
             target |= u << (2 * j) | w << (2 * j + 1)
-        moved = np.empty_like(idx, dtype=np.uint8)
-        moved[target] = _table_bits(s.parties, (s.table,))[0] ^ int(self.flip_sign)
+        return target
+
+    def apply(self, s: SignFunction) -> SignFunction:
+        """Transformed sign function t with t(P(v)) = +/- s(v)."""
+        moved = np.empty(table_size(s.parties), dtype=np.uint8)
+        moved[self.assignment_map()] = _table_bits(s.parties, (s.table,))[0] ^ int(self.flip_sign)
         return SignFunction(s.parties, _bit_tables(moved)[0])
 
 

@@ -23,8 +23,8 @@ from bellfacets import (
     two_setting_reduction,
     vertex_matrix,
 )
-from bellfacets import enumeration
 from bellfacets.cli import EXIT_OK, main
+from exhaustive import exhaustive_two
 
 ROOT2 = np.sqrt(2.0)
 
@@ -40,7 +40,7 @@ def _inequalities(parties, tables):
 
 def test_criterion_01_exhaustive_equals_backtracking_within_budget():
     start = time.perf_counter()
-    exhaustive = enumeration._exhaustive_two()
+    exhaustive = exhaustive_two()
     elapsed = time.perf_counter() - start
     backtracked = [s.table for s in enumerate_admissible(2)]
     same = exhaustive == sorted(backtracked)

@@ -17,6 +17,7 @@ from bellfacets import (
 from bellfacets import enumeration, symmetry
 from bellfacets.enumeration import classify
 from bellfacets.polytope import chsh_pattern
+from exhaustive import exhaustive_two
 
 N2_ADMISSIBLE = 90      # established by the exhaustive 2^16 scan
 N3_ADMISSIBLE = 51678   # established by the section recursion, cross-checked below
@@ -25,7 +26,7 @@ N3_FACTORABLE = 54
 
 
 def test_exhaustive_matches_backtracking():
-    exhaustive = enumeration._exhaustive_two()
+    exhaustive = exhaustive_two()
     backtracked = [s.table for s in enumerate_admissible(2)]
     assert exhaustive == sorted(backtracked)
     assert len(exhaustive) == N2_ADMISSIBLE

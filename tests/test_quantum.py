@@ -437,10 +437,9 @@ def test_seesaw_ratio_is_symmetry_invariant_three_observers(census3):
 
 
 def _same_report(a, b):
-    return (a.inequality_id == b.inequality_id and a.quantum_max == b.quantum_max
-            and a.violation_ratio == b.violation_ratio and a.restarts_used == b.restarts_used
-            and a.converged == b.converged and a.objective_trace == b.objective_trace
-            and np.array_equal(a.state, b.state)
+    return (a.quantum_max == b.quantum_max and a.violation_ratio == b.violation_ratio
+            and a.restarts_used == b.restarts_used and a.converged == b.converged
+            and a.objective_trace == b.objective_trace and np.array_equal(a.state, b.state)
             and np.array_equal(a.directions.directions, b.directions.directions))
 
 

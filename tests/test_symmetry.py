@@ -1,4 +1,5 @@
 from functools import cache
+from math import factorial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bellfacets import (
     enumerate_admissible,
     fourier_transform,
     is_admissible,
+    table_size,
     two_setting_reduction,
 )
 from bellfacets import symmetry
@@ -134,6 +136,32 @@ def test_orbit_matches_reference_three_observers():
         reference = _reference_orbit(s, group3)
         assert set(orbit_words(s).tolist()) == reference
         assert canonicalize(s).table == min(reference)
+
+
+def _library_gather_maps(parties):
+    """Every map v -> moves[k][v] XOR m the image generator reads s through,
+    in its order: the images of coordinate function j (-1 where variable j
+    is -1) hold bit j of each map's value."""
+    bits = np.arange(table_size(parties)) >> np.arange(2 * parties)[:, None] & 1
+    coordinates = [SignFunction(parties, t) for t in _bit_tables(bits.astype(np.uint8))]
+    return sum(np.concatenate(list(_sign_free_images(c))).astype(np.int64) << j
+               for j, c in enumerate(coordinates))
+
+
+@pytest.mark.parametrize("parties", [2, 3])
+def test_gather_maps_are_the_inverses_of_the_sign_free_group(parties):
+    # the whole group, not orbits of samples: each sign-free element of the
+    # reference once, as the inverse of its assignment map
+    reference = set()
+    for g in symmetry_group(parties):
+        if not g.flip_sign:
+            inverse = np.empty(table_size(parties), dtype=np.int64)
+            inverse[g.assignment_map()] = np.arange(table_size(parties))
+            reference.add(tuple(inverse.tolist()))
+    maps = [tuple(row) for row in _library_gather_maps(parties).tolist()]
+    assert len(reference) == factorial(parties) * 8 ** parties  # 128 and 3072
+    assert len(maps) == len(set(maps)) == len(reference)
+    assert set(maps) == reference
 
 
 def test_orbit_least_on_a_set_not_closed_under_the_group(monkeypatch):
