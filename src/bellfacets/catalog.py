@@ -11,7 +11,7 @@ import io
 import itertools
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -32,15 +32,15 @@ def inequality_entry(
 ) -> dict[str, Any]:
     if ineq.provenance is None:
         raise ValueError("catalog entries need a generating sign function")
-    return {
+    return {  # in the CSV column order; JSON sorts the keys
         "parties": ineq.parties,
-        "bound": ineq.bound,
-        "coeffs": [int(c) for c in ineq.coeffs.ravel()],
         "sign_function": ineq.provenance.to_text(),
+        "bound": ineq.bound,
         "canonical": canonical,
         "tight": certificate.tight,
         "saturating_count": certificate.saturating_count,
         "rank": certificate.rank,
+        "coeffs": [int(c) for c in ineq.coeffs.ravel()],
     }
 
 
@@ -151,27 +151,18 @@ def read_json(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _csv_text(header: list[str], rows: Iterable[list[Any]]) -> str:
+def catalog_csv(rows: list[dict[str, Any]]) -> str:
+    """Flat CSV export, one line per row, columns in the first row's key
+    order; a coeffs list becomes the settings columns E_..."""
+    if not rows:
+        return ""
+    keys = list(rows[0])
+    labels = settings_labels(int(rows[0]["parties"])) if "coeffs" in keys else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow([name for k in keys for name in (labels if k == "coeffs" else [k])])
+    writer.writerows([v for k in keys for v in (row[k] if k == "coeffs" else [row[k]])] for row in rows)
     return buf.getvalue()
-
-
-def catalog_csv(entries: list[dict[str, Any]]) -> str:
-    """Flat CSV export of an inequality catalog (one row per entry)."""
-    if not entries:
-        return ""
-    fixed = ["parties", "sign_function", "bound", "canonical", "tight", "saturating_count", "rank"]
-    labels = settings_labels(int(entries[0]["parties"]))
-    return _csv_text(fixed + labels, ([e[k] for k in fixed] + list(e["coeffs"]) for e in entries))
-
-
-def records_csv(records: list[dict[str, Any]]) -> str:
-    """CSV of flat records, columns in the first record's key order."""
-    keys = list(records[0]) if records else []
-    return _csv_text(keys, ([r[k] for k in keys] for r in records))
 
 
 def write_catalog(path: str | Path, entries: list[dict[str, Any]], fmt: str = "json") -> None:

@@ -26,12 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as cat
-from .enumeration import UnsupportedSize, classify
+from .enumeration import classify
 from .fourier import SignFunction, table_size
 from .lifting import lift, two_setting_reduction
 from .polytope import (
     BellInequality,
     BoundNotAttained,
+    LhvBounds,
     TightnessCertificate,
     certify_tightness,
     inequality_from_sign_function,
@@ -53,14 +54,6 @@ _ARGUMENTS = {
     "--restarts": dict(type=int, default=32),
     "--format": dict(choices=("json", "csv"), default="json"),
 }
-_FLAGS = {
-    "enumerate": ("--parties", "--out", "--format"),
-    "classify": ("--parties", "--out"),
-    "verify": ("--in", "--out", "--format"),
-    "violate": ("--in", "--out", "--seed", "--restarts"),
-    "reduce": ("--parties", "--out", "--format"),
-    "lift": ("--in", "--out"),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,49 +66,57 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bellfacets", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _FLAGS.items():
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **_ARGUMENTS[flag])
     return parser
 
 
-def _certified_entries(
-    inequalities: list[BellInequality], canonical: list[bool]
-) -> tuple[list[dict], bool]:
-    """Catalog entries plus a findings flag: an entry is a finding unless it
-    is tight and its LHV maximum and minimum are +/- its bound."""
-    entries = []
-    findings = False
-    for ineq, flag in zip(inequalities, canonical):
-        cert = certify_tightness(ineq)
-        bounds = lhv_max(ineq)
-        entries.append(cat.inequality_entry(ineq, cert, canonical=flag))
-        if not cert.tight or bounds != (ineq.bound, -ineq.bound):
-            findings = True
-    return entries, findings
-
-
-def _read_entries(path: Path) -> list[dict]:
-    """Catalog entries from a JSON file: a list of objects, else ValueError."""
-    entries = cat.read_json(path)
+def _read_catalog(args: argparse.Namespace) -> tuple[list[dict], list[BellInequality]]:
+    """The entries of the --in catalog and their inequalities, every entry
+    validated before any is checked: a file that is not a JSON list of
+    objects, or a malformed entry, raises ValueError."""
+    entries = cat.read_json(args.input_path)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError(f"{path} is not a catalog: expected a JSON list of objects")
-    return entries
+        raise ValueError(f"{args.input_path} is not a catalog: expected a JSON list of objects")
+    return entries, [cat.entry_inequality(entry) for entry in entries]
 
 
-def _coeffs_ok(command: str, index: int, ineq: BellInequality) -> bool:
-    """Whether the stored coefficients are those the sign function induces;
-    a mismatch is reported on stderr."""
-    regenerated = inequality_from_sign_function(ineq.provenance)
-    if (regenerated.coeffs == ineq.coeffs).all():
-        return True
-    print(
-        f"bellfacets {command}: entry {index} ({ineq.provenance.to_text()}) has "
-        "coefficients its sign function does not induce",
-        file=sys.stderr,
-    )
-    return False
+def _induced_ok(command: str, inequalities: list[BellInequality]) -> list[bool]:
+    """Whether each entry's stored coefficients are those its sign function
+    induces; each mismatch is reported on stderr."""
+    flags = [bool((inequality_from_sign_function(ineq.provenance).coeffs == ineq.coeffs).all())
+             for ineq in inequalities]
+    for index, (ineq, ok) in enumerate(zip(inequalities, flags)):
+        if not ok:
+            print(f"bellfacets {command}: entry {index} ({ineq.provenance.to_text()}) has "
+                  "coefficients its sign function does not induce", file=sys.stderr)
+    return flags
+
+
+def _certify(ineq: BellInequality) -> tuple[LhvBounds, TightnessCertificate, bool]:
+    """The LHV extremes, the tightness certificate (an unattained bound reads
+    as not tight) and whether the inequality is certified: tight, with LHV
+    maximum and minimum +/- its bound."""
+    bounds = lhv_max(ineq)
+    try:
+        cert = certify_tightness(ineq)
+    except BoundNotAttained:
+        cert = TightnessCertificate(tight=False, saturating_count=0, rank=0)
+    return bounds, cert, cert.tight and bounds == (ineq.bound, -ineq.bound)
+
+
+def _write_certified(args: argparse.Namespace, inequalities: list[BellInequality],
+                     canonical: list[bool]) -> int:
+    """Write the catalog of certified entries; a finding unless all are certified."""
+    entries, certified = [], True
+    for ineq, flag in zip(inequalities, canonical):
+        _, cert, ok = _certify(ineq)
+        entries.append(cat.inequality_entry(ineq, cert, canonical=flag))
+        certified = certified and ok
+    cat.write_catalog(args.output_path, entries, args.format)
+    return EXIT_OK if certified else EXIT_FINDINGS
 
 
 def _canonical_flags(functions: list[SignFunction]) -> list[bool]:
@@ -130,60 +131,43 @@ def _canonical_flags(functions: list[SignFunction]) -> list[bool]:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     reps = [inequality_from_sign_function(c.representative)
             for c in classify(args.parties).canonical_classes]
-    entries, findings = _certified_entries(reps, [True] * len(reps))
-    cat.write_catalog(args.output_path, entries, args.format)
-    return EXIT_FINDINGS if findings else EXIT_OK
+    return _write_certified(args, reps, [True] * len(reps))
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    report = classify(args.parties)
-    cat.write_json(args.output_path, cat.classification_dict(report))
+    cat.write_json(args.output_path, cat.classification_dict(classify(args.parties)))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    entries = _read_entries(args.input_path)
+    entries, inequalities = _read_catalog(args)
+    stored = [cat.entry_certificate(entry, index) for index, entry in enumerate(entries)]
+    coeffs_ok = _induced_ok(args.command, inequalities)
     results = []
-    findings = False
-    for index, entry in enumerate(entries):
-        ineq = cat.entry_inequality(entry)
-        stored = cat.entry_certificate(entry, index)
-        coeffs_ok = _coeffs_ok(args.command, index, ineq)
-        bounds = lhv_max(ineq)
-        bound_ok = bounds.maximum == entry["bound"] and bounds.minimum == -entry["bound"]
-        try:
-            cert = certify_tightness(ineq)
-        except BoundNotAttained:
-            cert = TightnessCertificate(tight=False, saturating_count=0, rank=0)
-        cert_ok = cert == stored
-        ok = coeffs_ok and bound_ok and cert.tight and cert_ok
-        findings = findings or not ok
+    for entry, ineq, expected, induced in zip(entries, inequalities, stored, coeffs_ok):
+        bounds, cert, certified = _certify(ineq)
         results.append(
             {
                 "sign_function": entry["sign_function"],
-                "coeffs_ok": coeffs_ok,
+                "coeffs_ok": induced,
                 "lhv_max": bounds.maximum,
                 "lhv_min": bounds.minimum,
-                "bound_ok": bound_ok,
+                "bound_ok": bounds == (ineq.bound, -ineq.bound),
                 "tight": cert.tight,
                 "saturating_count": cert.saturating_count,
                 "rank": cert.rank,
-                "certificate_ok": cert_ok,
-                "pass": ok,
+                "certificate_ok": cert == expected,
+                "pass": induced and certified and cert == expected,
             }
         )
-    if args.format == "csv":
-        args.output_path.write_text(cat.records_csv(results), encoding="utf-8")
-    else:
-        cat.write_json(args.output_path, results)
-    return EXIT_FINDINGS if findings else EXIT_OK
+    cat.write_catalog(args.output_path, results, args.format)
+    return EXIT_OK if all(r["pass"] for r in results) else EXIT_FINDINGS
 
 
 def _cmd_violate(args: argparse.Namespace) -> int:
-    entries = _read_entries(args.input_path)
-    inequalities = [cat.entry_inequality(entry) for entry in entries]
-    coeffs_ok = [_coeffs_ok(args.command, index, ineq) for index, ineq in enumerate(inequalities)]
+    entries, inequalities = _read_catalog(args)
     reports = seesaw_maximize_all(inequalities, restarts=args.restarts, seed=args.seed)
+    coeffs_ok = _induced_ok(args.command, inequalities)
     wrong_bound = [(k, ineq) for k, ineq in enumerate(inequalities) if ineq.bound != table_size(ineq.parties)]
     for index, ineq in wrong_bound:
         print(f"bellfacets violate: entry {index} ({ineq.provenance.to_text()}) has bound {ineq.bound}, "
@@ -196,31 +180,26 @@ def _cmd_violate(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     reduction = two_setting_reduction(args.parties)
-    flags = _canonical_flags([ineq.provenance for ineq in reduction])
-    entries, findings = _certified_entries(reduction, flags)
-    cat.write_catalog(args.output_path, entries, args.format)
-    return EXIT_FINDINGS if findings else EXIT_OK
+    return _write_certified(args, reduction, _canonical_flags([ineq.provenance for ineq in reduction]))
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
-    entries = _read_entries(args.input_path)
-    findings = False
-    for index, entry in enumerate(entries):
-        ineq = cat.entry_inequality(entry)
-        if not _coeffs_ok(args.command, index, ineq):
-            findings = True
+    entries, inequalities = _read_catalog(args)
+    coeffs_ok = _induced_ok(args.command, inequalities)
+    for entry, ineq in zip(entries, inequalities):
         entry["lifted"] = cat.lifted_block(lift(ineq))
     cat.write_json(args.output_path, entries)
-    return EXIT_FINDINGS if findings else EXIT_OK
+    return EXIT_OK if all(coeffs_ok) else EXIT_FINDINGS
 
 
+# command -> (handler, the flags it reads)
 _COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "violate": _cmd_violate,
-    "reduce": _cmd_reduce,
-    "lift": _cmd_lift,
+    "enumerate": (_cmd_enumerate, ("--parties", "--out", "--format")),
+    "classify": (_cmd_classify, ("--parties", "--out")),
+    "verify": (_cmd_verify, ("--in", "--out", "--format")),
+    "violate": (_cmd_violate, ("--in", "--out", "--seed", "--restarts")),
+    "reduce": (_cmd_reduce, ("--parties", "--out", "--format")),
+    "lift": (_cmd_lift, ("--in", "--out")),
 }
 
 
@@ -242,8 +221,8 @@ def run(args: argparse.Namespace) -> int:
         print(f"bellfacets {args.command}: {usage}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        return _COMMANDS[args.command](args)
-    except (OSError, ValueError, UnsupportedSize, KeyError) as exc:
+        return _COMMANDS[args.command][0](args)
+    except (OSError, ValueError, KeyError) as exc:
         print(f"bellfacets {args.command}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -182,17 +182,18 @@ def test_reduce_two_observers(tmp_path):
     assert all(e["tight"] for e in entries)
 
 
-@pytest.mark.parametrize("command", ["enumerate", "reduce"])
+@pytest.mark.parametrize("command", ["enumerate", "reduce", "verify"])
 @pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
-def test_lhv_bound_off_by_one_is_a_finding(command, shift, tmp_path, monkeypatch):
+def test_lhv_bound_off_by_one_is_a_finding(command, shift, catalog2, tmp_path, monkeypatch):
     exact = cli.lhv_max
     monkeypatch.setattr(
         cli, "lhv_max",
         lambda ineq: LhvBounds(exact(ineq).maximum - shift[0], exact(ineq).minimum + shift[1]),
     )
     out = tmp_path / "out.json"
-    assert run_cli(command, "--parties", 2, "--out", out) == EXIT_FINDINGS
-    assert len(json.loads(out.read_text())) == {"enumerate": 6, "reduce": 16}[command]
+    source = ("--in", catalog2) if command == "verify" else ("--parties", 2)
+    assert run_cli(command, *source, "--out", out) == EXIT_FINDINGS
+    assert len(json.loads(out.read_text())) == {"enumerate": 6, "reduce": 16, "verify": 6}[command]
 
 
 def test_canonical_flags_match_canonicalize(census3):
@@ -381,6 +382,37 @@ def test_violate_checks_the_stored_bound(bound, code, names, catalog2, tmp_path,
     assert err.count("\n") == 1 and err.startswith("bellfacets violate: "), err
     assert names in err
     assert out.exists() == (code == EXIT_FINDINGS)
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("verify", "parties", 9), ("lift", "parties", 9), ("violate", "parties", 9), ("verify", "tight", "yes"),
+    ("violate", "bound", 0), ("violate", "sign_function", "N=2;table=0001"),
+])
+def test_malformed_entry_after_a_finding_is_one_line_error(command, field, value, catalog2, tmp_path,
+                                                           capsys):
+    entries = json.loads(catalog2.read_text())
+    entries[1]["coeffs"][0] += 8
+    entries[3][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"bellfacets {command}: "), err
+    assert str(value) in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command, extra, text", [
+    ("verify", (), "[]\n"), ("verify", ("--format", "csv"), ""), ("lift", (), "[]\n"), ("violate", (), "[]\n"),
+], ids=["verify-json", "verify-csv", "lift", "violate"])
+def test_empty_catalog_passes(command, extra, text, tmp_path, capsys):
+    empty, out = tmp_path / "empty.json", tmp_path / "out"
+    empty.write_text("[]")
+    capsys.readouterr()
+    assert run_cli(command, "--in", empty, "--out", out, *extra) == EXIT_OK
+    assert out.read_text() == text
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_input_file_is_io_error(tmp_path):
