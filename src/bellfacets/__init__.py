@@ -25,7 +25,6 @@ from .enumeration import (
 )
 from .polytope import (
     BellInequality,
-    BoundNotAttained,
     LhvBounds,
     NotAdmissible,
     TightnessCertificate,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellInequality",
-    "BoundNotAttained",
     "CanonicalClass",
     "EnumerationReport",
     "LhvBounds",

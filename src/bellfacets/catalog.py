@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .enumeration import EnumerationReport
-from .fourier import MAX_PARTIES, MIN_PARTIES, SignFunction
+from .fourier import MAX_PARTIES, MIN_PARTIES, SignFunction, is_admissible
 from .lifting import LiftedInequality
 from .polytope import BellInequality, TightnessCertificate
 from .quantum import QuantumValueReport
@@ -51,7 +51,8 @@ def _is_int(value: Any) -> bool:
 def entry_inequality(entry: dict[str, Any]) -> BellInequality:
     """Rebuild the inequality exactly as stored (coefficients not recomputed).
 
-    Each field is checked first; a malformed one raises one ValueError.
+    Each field is checked first; a malformed one, a sign function outside the
+    admissible family among them, raises one ValueError.
     """
     missing = [k for k in ("parties", "coeffs", "bound", "sign_function") if k not in entry]
     if missing:
@@ -74,6 +75,8 @@ def entry_inequality(entry: dict[str, Any]) -> BellInequality:
     provenance = SignFunction.from_text(entry["sign_function"])
     if provenance.parties != parties:
         raise ValueError(f"entry sign_function has N={provenance.parties}, parties is {parties}")
+    if not is_admissible(provenance):
+        raise ValueError(f"entry sign_function {provenance.to_text()} has a local-product Fourier component")
     array = np.array(coeffs, dtype=np.int64).reshape((3,) * parties)
     array.setflags(write=False)
     return BellInequality(parties=parties, coeffs=array, bound=bound, provenance=provenance)

@@ -13,8 +13,9 @@ Exit status: 0 when all checks pass, 2 when a finding is recorded (an entry
 that is not tight, whose bound does not match the brute-force value, or whose
 coefficients are not those its sign function induces; violate also flags a
 stored bound other than the induced 2^(2N)), and 1 for usage or I/O errors
-and malformed catalog entries.  Output bytes are fully determined by the
-flags; re-running a command reproduces its files exactly.
+and malformed catalog entries (a sign function outside the admissible family
+among them).  Output bytes are fully determined by the flags; re-running a
+command reproduces its files exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .fourier import SignFunction, table_size
 from .lifting import lift, two_setting_reduction
 from .polytope import (
     BellInequality,
-    BoundNotAttained,
     LhvBounds,
     TightnessCertificate,
     certify_tightness,
@@ -96,14 +96,9 @@ def _induced_ok(command: str, inequalities: list[BellInequality]) -> list[bool]:
 
 
 def _certify(ineq: BellInequality) -> tuple[LhvBounds, TightnessCertificate, bool]:
-    """The LHV extremes, the tightness certificate (an unattained bound reads
-    as not tight) and whether the inequality is certified: tight, with LHV
-    maximum and minimum +/- its bound."""
-    bounds = lhv_max(ineq)
-    try:
-        cert = certify_tightness(ineq)
-    except BoundNotAttained:
-        cert = TightnessCertificate(tight=False, saturating_count=0, rank=0)
+    """The LHV extremes, the tightness certificate and whether the inequality
+    is certified: tight, with LHV maximum and minimum +/- its bound."""
+    bounds, cert = lhv_max(ineq), certify_tightness(ineq)
     return bounds, cert, cert.tight and bounds == (ineq.bound, -ineq.bound)
 
 

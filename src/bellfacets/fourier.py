@@ -54,10 +54,7 @@ def _table_bits(parties: int, tables: Iterable[int]) -> np.ndarray:
 def _bit_tables(rows: np.ndarray) -> list[int]:
     """Pack bit rows (entry k in column k) into table integers, one per row."""
     packed = np.packbits(rows, axis=-1, bitorder="little")
-    width = packed.shape[-1]
-    if width <= 8:  # N <= 3: one machine word per table
-        return packed.view(f"<u{width}").ravel().tolist()
-    raw = packed.tobytes()
+    raw, width = packed.tobytes(), packed.shape[-1]
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 

@@ -43,10 +43,6 @@ class NotAdmissible(ValueError):
     """Sign function has a forbidden local-product Fourier component."""
 
 
-class BoundNotAttained(ValueError):
-    """No vertex reaches the stated bound; not a face of the polytope."""
-
-
 @lru_cache(maxsize=None)
 def vertex_matrix(parties: int) -> np.ndarray:
     """The 2^(2N+1) vertices as flattened (3,)*N tensors, one row each:
@@ -209,13 +205,12 @@ def certify_tightness(ineq: BellInequality) -> TightnessCertificate:
 
     Rows 2v and 2v+1 of the vertex matrix are +K[v] and -K[v], one line, so
     the rank depends only on which assignments v saturate: it is taken on
-    the sign-normalised rows K[v] of that set and memoised per set.
+    the sign-normalised rows K[v] of that set and memoised per set.  A bound
+    no vertex attains leaves the set empty: rank 0, not tight.
     """
     values = vertex_matrix(ineq.parties) @ ineq.coeffs.ravel()
     saturating = values == ineq.bound
     count = int(saturating.sum())
-    if count == 0:
-        raise BoundNotAttained(f"no vertex reaches the bound {ineq.bound}")
     assignments = saturating.reshape(-1, 2).any(axis=1)
     rank = _assignment_rank(ineq.parties, assignments.tobytes())
     return TightnessCertificate(

@@ -221,9 +221,8 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
     """seesaw_maximize_all on inequalities of one observer count: rows are
     admitted in (inequality, restart) order, up to _ROW_BLOCK at a time."""
     parties = ineqs[0].parties
-    starts = np.stack([np.random.default_rng(child).normal(size=(parties, 3, 3))
+    starts = np.stack([ObservableDirection.random(parties, np.random.default_rng(child)).directions
                        for child in np.random.SeedSequence(seed).spawn(restarts)])
-    starts /= np.linalg.norm(starts, axis=3, keepdims=True)
     coeffs = np.stack([ineq.coeffs for ineq in ineqs]).astype(np.float64)
     scales = np.array([float(ineq.bound) for ineq in ineqs])
     caps = np.array([float(algebraic_maximum(ineq)) for ineq in ineqs])

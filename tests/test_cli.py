@@ -77,6 +77,8 @@ def test_verify_flags_tampered_bound(catalog2, tmp_path):
     assert run_cli("verify", "--in", bad, "--out", out) == EXIT_FINDINGS
     results = json.loads(out.read_text())
     assert not results[0]["bound_ok"] and not results[0]["pass"]
+    # no vertex reaches 15: an empty saturating set, not tight
+    assert (results[0]["tight"], results[0]["saturating_count"], results[0]["rank"]) == (False, 0, 0)
 
 
 def test_verify_flags_tampered_coefficients(catalog2, tmp_path):
@@ -400,6 +402,25 @@ def test_malformed_entry_after_a_finding_is_one_line_error(command, field, value
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"bellfacets {command}: "), err
     assert str(value) in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "lift", "violate"])
+def test_sign_function_outside_the_family_is_rejected_on_reading(command, catalog2, tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("the see-saw ran before the catalog was read")
+
+    monkeypatch.setattr(cli, "seesaw_maximize_all", no_seesaw)
+    entries = json.loads(catalog2.read_text())
+    entries[3]["sign_function"] = "N=2;table=0001"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == (f"bellfacets {command}: entry sign_function N=2;table=0001 "
+                   "has a local-product Fourier component\n")
     assert not (tmp_path / "out.json").exists()
 
 
