@@ -29,7 +29,8 @@ def main():
     print(f"  over 32 vertices:                {lhv_max(ineq)}")
     print(f"  over 64 deterministic strategies: {lhv_max_by_strategies(ineq)}")
 
-    values = vertex_matrix(2) @ ineq.coeffs.ravel()
+    K = vertex_matrix(2)
+    values = np.concatenate((K, -K)) @ ineq.coeffs.ravel()
     print(f"\nVertex scores: {sorted(set(values.tolist()))} "
           f"({np.sum(values == 16)} saturate each side)")
 
@@ -52,7 +53,7 @@ def main():
     print(f"\nSum of two CHSH facets (bound 32): tight={cert.tight}, "
           f"saturating={cert.saturating_count}, rank={cert.rank} < 9")
 
-    print(f"\nVertex count check: {len(vertex_matrix(2))} vertices for two observers")
+    print(f"\nVertex count check: {2 * len(vertex_matrix(2))} vertices for two observers")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
 """Reading the three-setting inequalities as constraints on fuller data.
 
 Substituting 1 for every observer's reference-setting outcome turns a vertex
-into a *lifted vertex* (1, m1, m2) x ..., the +1-sign row 2v of
+into a *lifted vertex* (1, m1, m2) x ..., the +1-sign vertex K[v], row v of
 ``vertex_matrix``.  Its components are, in order of how many observers
-participate: the normalization constant, every single observer's average,
-and every correlation of two or more observers.  A
-three-setting facet therefore doubles as an inequality on marginals plus
-two-setting correlations (a CH-type constraint); its sharp bounds over the
-2^(2N) lifted vertices are found by brute force and may be strictly inside
-the original +/-2^(2N).
+participate: the normalization constant, every single observer's average, and
+every correlation of two or more observers.  A three-setting facet therefore
+doubles as an inequality on marginals plus two-setting correlations (a
+CH-type constraint); its sharp bounds over the 2^(2N) lifted vertices are
+found by brute force and may be strictly inside the original +/-2^(2N).
 
 Separately, the admissible functions that depend only on each observer's
 first variable reproduce the complete two-setting family: there are exactly
@@ -47,7 +46,7 @@ class LiftedInequality:
 def lift(ineq: BellInequality) -> LiftedInequality:
     """Reinterpret setting 0 as the substituted constant and re-bound."""
     parties = ineq.parties
-    values = vertex_matrix(parties)[0::2] @ ineq.coeffs.ravel()
+    values = vertex_matrix(parties) @ ineq.coeffs.ravel()
     low, high = int(values.min()), int(values.max())
     constant = int(ineq.coeffs[(0,) * parties])
     marginals = []

@@ -5,8 +5,9 @@ full-correlation tensor is the outer product of the per-observer outcome
 triples.  Changing variables to the products with the reference setting shows
 every such tensor equals a *vertex* x * (1, u_0, w_0) x ... x (1, u_{N-1},
 w_{N-1}), so the polytope of locally modelable correlation tensors is the
-convex hull of the 2^(2N+1) vertices.  Entry j of the +1 vertex of assignment
-v is the character (-1)^|v & T_j| of the subset T_j addressing settings tuple j.
+convex hull of the 2^(2N+1) vertices +/-K[v], one pair per assignment v.
+Entry j of K[v] is the character (-1)^|v & T_j| of the subset T_j addressing
+settings tuple j.  Only K is stored; bounds and certificates apply the sign.
 
 An admissible sign function s induces the inequality |<g, E>| <= 2^(2N),
 where g gathers at each settings tuple the spectrum coefficient of its
@@ -17,14 +18,13 @@ of the vertices span the whole space.
 
 Tightness is certified with exact arithmetic, never floating point.  The
 saturating vertices' rank is first taken modulo a prime p: a minor that is
-nonzero mod p is a nonzero integer, so the rank mod p never exceeds the
-rank over the rationals, and when it reaches min(rows, cols) that is the
-rank.  Only a rank-deficient set falls back to fraction-free (Bareiss)
-elimination over the integers.  A vertex and its negation span the same
-line, so the rank is taken on the sign-normalised rows of the saturating
-assignment set and memoised per set.  By the reconstruction identity every
-admissible inequality saturates one vertex of each assignment, the full set,
-so one elimination per observer count serves them all.
+nonzero mod p is a nonzero integer, so the rank mod p never exceeds the rank
+over the rationals, and when it reaches min(rows, cols) that is the rank.
+Only a rank-deficient set falls back to fraction-free (Bareiss) elimination
+over the integers.  A vertex and its negation span one line, so the rank is
+that of the rows K[v] of the saturating assignment set, memoised per set.
+Every admissible inequality saturates one vertex of each assignment (the
+reconstruction identity), so one elimination per observer count serves all.
 """
 
 from __future__ import annotations
@@ -45,17 +45,16 @@ class NotAdmissible(ValueError):
 
 @lru_cache(maxsize=None)
 def vertex_matrix(parties: int) -> np.ndarray:
-    """The 2^(2N+1) vertices as flattened (3,)*N tensors, one row each:
-    row 2v is K[v] = (1, u_0, w_0) x ... x (1, u_{N-1}, w_{N-1}) for
-    assignment v, row 2v+1 is -K[v].  Column j of K[v] is the character
+    """The table K of 4^N flattened (3,)*N tensors: row v is
+    K[v] = (1, u_0, w_0) x ... x (1, u_{N-1}, w_{N-1}) for assignment v.
+    The polytope's vertices are +/-K[v].  Column j of K[v] is the character
     (-1)^|v & T_j| of the subset T_j addressing settings tuple j."""
     _check_parties(parties)
     subsets = _setting_subsets(parties)
     # the transform of the indicator of T_j is T_j's character over all v
     rows = _fwht(subsets[:, None] == np.arange(table_size(parties))).T
-    mat = np.stack((rows, -rows), axis=1).reshape(-1, 3 ** parties)
-    mat.setflags(write=False)
-    return mat
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +91,9 @@ class LhvBounds(NamedTuple):
 
 
 def lhv_max(ineq: BellInequality) -> LhvBounds:
-    """Extreme values of <coeffs, V> over all vertices (brute force)."""
-    values = vertex_matrix(ineq.parties) @ ineq.coeffs.ravel()
-    return LhvBounds(int(values.max()), int(values.min()))
+    """Extremes of <coeffs, V> over all vertices V = +/-K[v] (brute force)."""
+    top = int(np.abs(vertex_matrix(ineq.parties) @ ineq.coeffs.ravel()).max())
+    return LhvBounds(top, -top)
 
 
 @lru_cache(maxsize=None)
@@ -203,16 +202,15 @@ def certify_tightness(ineq: BellInequality) -> TightnessCertificate:
     all 3^N dimensions; the set lies in the affine hyperplane <g, E> = bound,
     so full linear rank is one more than the face's affine dimension.
 
-    Rows 2v and 2v+1 of the vertex matrix are +K[v] and -K[v], one line, so
-    the rank depends only on which assignments v saturate: it is taken on
-    the sign-normalised rows K[v] of that set and memoised per set.  A bound
-    no vertex attains leaves the set empty: rank 0, not tight.
+    The vertices +K[v] and -K[v] span one line, so the rank depends only on
+    which assignments v saturate with either sign: it is taken on the rows
+    K[v] of that set and memoised per set.  A bound no vertex attains leaves
+    the set empty: rank 0, not tight.
     """
     values = vertex_matrix(ineq.parties) @ ineq.coeffs.ravel()
-    saturating = values == ineq.bound
-    count = int(saturating.sum())
-    assignments = saturating.reshape(-1, 2).any(axis=1)
-    rank = _assignment_rank(ineq.parties, assignments.tobytes())
+    plus, minus = values == ineq.bound, values == -ineq.bound
+    count = int(plus.sum() + minus.sum())
+    rank = _assignment_rank(ineq.parties, (plus | minus).tobytes())
     return TightnessCertificate(
         tight=rank == 3 ** ineq.parties,
         saturating_count=count,
@@ -222,10 +220,10 @@ def certify_tightness(ineq: BellInequality) -> TightnessCertificate:
 
 @lru_cache(maxsize=64)
 def _assignment_rank(parties: int, assignments: bytes) -> int:
-    """Exact rank of the rows K[v] (the +1-sign vertices) of an assignment
-    set, given as the bytes of its boolean mask over the 4^N assignments."""
+    """Exact rank of the rows K[v] of an assignment set, given as the bytes
+    of its boolean mask over the 4^N assignments."""
     chosen = np.frombuffer(assignments, dtype=bool)
-    return fraction_free_rank(vertex_matrix(parties)[0::2][chosen].tolist())
+    return fraction_free_rank(vertex_matrix(parties)[chosen].tolist())
 
 
 def chsh_pattern(ineq: BellInequality) -> bool:

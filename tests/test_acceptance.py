@@ -78,7 +78,7 @@ def test_criterion_04_unit_resolution():
     checked = 0
     for parties, trials, seed in ((2, 1000, 40), (3, 100, 41)):
         rng = np.random.default_rng(seed)
-        base = vertex_matrix(parties)[::2]  # one row per assignment, sign +1
+        base = vertex_matrix(parties)  # one row K[v] per assignment
         identity = (1 << (2 * parties)) * np.eye(3 ** parties, dtype=np.int64)
         for _ in range(trials):
             signs = rng.choice([-1, 1], size=len(base)).astype(np.int64)
@@ -90,12 +90,14 @@ def test_criterion_04_unit_resolution():
 
 
 def test_criterion_05_vertex_value_dichotomy(census3):
-    mat2 = vertex_matrix(2)
+    K2 = vertex_matrix(2)
+    mat2 = np.concatenate((K2, -K2))
     for ineq in _inequalities(2, (s.table for s in enumerate_admissible(2))):
         values = set((mat2 @ ineq.coeffs.ravel()).tolist())
         if values != {16, -16}:
             _verdict(5, False, f"N=2 inequality {ineq.provenance.to_text()} gave {values}")
-    mat3 = vertex_matrix(3)
+    K3 = vertex_matrix(3)
+    mat3 = np.concatenate((K3, -K3))
     classes = census3.canonical_classes
     for cls in classes:
         coeffs = inequality_from_sign_function(cls.representative).coeffs
@@ -193,10 +195,10 @@ def test_criterion_09_seesaw_reference_values(chsh_inequality, mermin_inequality
 
 def test_criterion_10_ch_lifting(chsh_inequality):
     lifted = lift(chsh_inequality)
-    values = vertex_matrix(2)[0::2] @ chsh_inequality.coeffs.ravel()
+    values = vertex_matrix(2) @ chsh_inequality.coeffs.ravel()
     attained = lifted.bounds == (int(values.min()), int(values.max()))
     subset_ok = all(
-        np.abs(vertex_matrix(2)[0::2] @ i.coeffs.ravel()).max() <= 16
+        np.abs(vertex_matrix(2) @ i.coeffs.ravel()).max() <= 16
         for i in _inequalities(2, (s.table for s in enumerate_admissible(2)))
     )
     degenerate = lift(inequality_from_sign_function(SignFunction(2, 0)))

@@ -21,7 +21,7 @@ from bellfacets import lifting
 
 
 def test_lifted_vertex_count_and_normalization():
-    lifted = vertex_matrix(2)[0::2]
+    lifted = vertex_matrix(2)
     assert len(lifted) == 16
     assert len({row.tobytes() for row in lifted}) == 16
     assert (lifted[:, 0] == 1).all()
@@ -29,13 +29,13 @@ def test_lifted_vertex_count_and_normalization():
 
 def test_lifted_vertices_are_plain_vertices_with_positive_sign():
     # reference outcome 1: each observer contributes (1, m1, m2), bit 2i set <=> m1 = -1
-    for bits, row in enumerate(vertex_matrix(2)[0::2]):
+    for bits, row in enumerate(vertex_matrix(2)):
         m = [1 - 2 * (bits >> j & 1) for j in range(4)]
         assert np.array_equal(row, np.outer([1, m[0], m[1]], [1, m[2], m[3]]).ravel())
 
 
 def test_every_facet_holds_on_lifted_vertices():
-    mat = vertex_matrix(2)[0::2]
+    mat = vertex_matrix(2)
     for s in enumerate_admissible(2):
         values = mat @ inequality_from_sign_function(s).coeffs.ravel()
         assert np.abs(values).max() <= 16
@@ -51,7 +51,7 @@ def test_lift_chsh(chsh_inequality):
     assert lifted.constant == 8
     assert lifted.marginal_coeffs == ((8, 0), (8, 0))
     assert lifted.correlations == (((1, 1), -8),)
-    values = vertex_matrix(2)[0::2] @ chsh_inequality.coeffs.ravel()
+    values = vertex_matrix(2) @ chsh_inequality.coeffs.ravel()
     assert values.min() == -16 and values.max() == 16  # both bounds attained
 
 
@@ -63,7 +63,7 @@ def test_lift_of_constant_term_is_degenerate():
 
 
 def test_uniform_mixture_leaves_only_the_constant(chsh_inequality):
-    values = vertex_matrix(2)[0::2] @ chsh_inequality.coeffs.ravel()
+    values = vertex_matrix(2) @ chsh_inequality.coeffs.ravel()
     assert values.mean() == chsh_inequality.coeffs[0, 0]
 
 
@@ -71,7 +71,7 @@ def test_lift_bounds_attained_for_all_canonical_classes(census2):
     for cls in census2.canonical_classes:
         ineq = inequality_from_sign_function(cls.representative)
         lifted = lift(ineq)
-        values = vertex_matrix(2)[0::2] @ ineq.coeffs.ravel()
+        values = vertex_matrix(2) @ ineq.coeffs.ravel()
         assert lifted.bounds == (int(values.min()), int(values.max()))
         assert -16 <= lifted.bounds[0] <= lifted.bounds[1] <= 16
 

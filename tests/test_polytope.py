@@ -49,16 +49,17 @@ def test_all_plus_vertex_tensor():
 
 
 def test_single_flip_negates_one_row():
-    tensor = vertex_matrix(2)[2 * 0b0001].reshape(3, 3)  # observer 0's first variable is -1
+    tensor = vertex_matrix(2)[0b0001].reshape(3, 3)  # observer 0's first variable is -1
     assert (tensor[1, :] == -1).all()
     assert (tensor[[0, 2], :] == 1).all()
 
 
 def test_vertex_normalization_entry_and_count():
-    mat = vertex_matrix(2)
-    assert mat.shape == (32, 9) and mat.dtype == np.int64 and not mat.flags.writeable
+    K = vertex_matrix(2)
+    assert K.shape == (16, 9) and K.dtype == np.int64 and not K.flags.writeable
+    mat = np.concatenate((K, -K))  # the vertices +K[v], then -K[v]
     assert len({row.tobytes() for row in mat}) == 32
-    assert (mat[:, 0] == np.tile([1, -1], 16)).all()  # the entry at settings (0, 0) is the sign
+    assert (mat[:, 0] == np.repeat([1, -1], 16)).all()  # the entry at settings (0, 0) is the sign
     assert set(np.unique(mat)) <= {-1, 1}
 
 
@@ -66,10 +67,11 @@ def test_vertex_rows_match_the_product_formula():
     rng = np.random.default_rng(13)
     for parties in (2, 3, 4):
         mat = vertex_matrix(parties)
-        assert mat.shape == (2 * 4 ** parties, 3 ** parties)
+        assert mat.shape == (4 ** parties, 3 ** parties)
+        assert mat.dtype == np.int64 and not mat.flags.writeable
         for bits in rng.integers(0, 4 ** parties, size=12).tolist():
-            assert np.array_equal(mat[2 * bits], _vertex_row(parties, bits, 1))
-            assert np.array_equal(mat[2 * bits + 1], _vertex_row(parties, bits, -1))
+            assert np.array_equal(mat[bits], _vertex_row(parties, bits, 1))
+            assert np.array_equal(-mat[bits], _vertex_row(parties, bits, -1))
 
 
 @pytest.mark.parametrize("parties", [1, 5])
@@ -81,7 +83,7 @@ def test_vertex_matrix_rejects_unsupported_parties(parties):
 def test_unit_resolution_spot_checks():
     rng = np.random.default_rng(11)
     for parties, trials in ((2, 30), (3, 10)):
-        mat = vertex_matrix(parties)[::2]  # sign +1 rows; signs cancel pairwise
+        mat = vertex_matrix(parties)  # the rows K[v]; the signs of +/-K[v] cancel pairwise
         for _ in range(trials):
             signs = rng.choice([-1, 1], size=len(mat)).astype(np.int64)
             signed = mat * signs[:, None]
@@ -98,13 +100,13 @@ def _strategy_outcomes(parties, bits):
 
 
 def _strategy_vertex_row(parties, bits):
-    """The vertex row a strategy lands on: sign x = product of reference
-    outcomes; u_i, w_i = reference outcome times setting-1/setting-2 outcome."""
+    """The vertex a strategy lands on, as (assignment, sign x): x = product of
+    reference outcomes; u_i, w_i = reference outcome times setting-1/2 outcome."""
     sign, assignment = 1, 0
     for i, (m0, m1, m2) in enumerate(_strategy_outcomes(parties, bits)):
         sign *= m0
         assignment |= (m0 * m1 == -1) << 2 * i | (m0 * m2 == -1) << 2 * i + 1
-    return 2 * assignment + (sign == -1)
+    return assignment, sign
 
 
 def test_all_plus_strategy_correlations():
@@ -114,18 +116,20 @@ def test_all_plus_strategy_correlations():
 def test_strategy_change_of_variables():
     bits = 1 << 1 | 1 << 5
     assert _strategy_outcomes(2, bits) == [[1, -1, 1], [1, 1, -1]]
-    assert _strategy_vertex_row(2, bits) == 2 * 0b1001  # u_0 = w_1 = -1, sign +1
-    assert np.array_equal(_strategy_matrix(2)[bits], vertex_matrix(2)[2 * 0b1001])
+    assert _strategy_vertex_row(2, bits) == (0b1001, 1)  # u_0 = w_1 = -1, sign +1
+    assert np.array_equal(_strategy_matrix(2)[bits], vertex_matrix(2)[0b1001])
 
 
 def test_strategies_double_cover_vertices():
     for parties in (2, 3, 4):
-        row_of = {row.tobytes(): k for k, row in enumerate(vertex_matrix(parties))}
+        K = vertex_matrix(parties)
+        row_of = {row.tobytes(): k for k, row in enumerate(np.concatenate((K, -K)))}
         hits = Counter(row_of[row.tobytes()] for row in _strategy_matrix(parties))
         assert len(hits) == 2 ** (2 * parties + 1)
         assert set(hits.values()) == {2 ** (parties - 1)}
     for bits, row in enumerate(_strategy_matrix(2)):
-        assert np.array_equal(row, vertex_matrix(2)[_strategy_vertex_row(2, bits)])
+        assignment, sign = _strategy_vertex_row(2, bits)
+        assert np.array_equal(row, sign * vertex_matrix(2)[assignment])
 
 
 # ── inequality generation ───────────────────────────────────────────────────
@@ -226,7 +230,8 @@ def test_both_bound_routes_agree_on_all_two_observer_inequalities(inequalities2)
 
 
 def test_vertex_value_dichotomy(inequalities2):
-    mat = vertex_matrix(2)
+    K = vertex_matrix(2)
+    mat = np.concatenate((K, -K))
     for ineq in inequalities2:
         values = mat @ ineq.coeffs.ravel()
         assert set(values.tolist()) == {16, -16}
@@ -235,7 +240,8 @@ def test_vertex_value_dichotomy(inequalities2):
 
 def test_convex_combinations_respect_bound(chsh_inequality):
     rng = np.random.default_rng(3)
-    vertices = vertex_matrix(2)
+    K = vertex_matrix(2)
+    vertices = np.concatenate((K, -K))
     coeffs = [Fraction(int(c)) for c in chsh_inequality.coeffs.ravel()]
     for _ in range(100):
         picks = rng.integers(0, len(vertices), size=5)
@@ -256,11 +262,11 @@ def test_convex_combinations_respect_bound(chsh_inequality):
 
 def _expansion_weights(s, E):
     """Weight of E on each basis vertex s(v) K[v]: s(v) <K[v], E> / 2^(2N)."""
-    return s.values() * (vertex_matrix(s.parties)[0::2] @ E.ravel()) / (1 << 2 * s.parties)
+    return s.values() * (vertex_matrix(s.parties) @ E.ravel()) / (1 << 2 * s.parties)
 
 
 def test_canonical_coefficients_saturate_on_basis_vertices(chsh_sign):
-    basis = int(chsh_sign.values()[5]) * vertex_matrix(2)[2 * 5].astype(float)
+    basis = int(chsh_sign.values()[5]) * vertex_matrix(2)[5].astype(float)
     assert _expansion_weights(chsh_sign, basis).sum() == pytest.approx(1.0, abs=1e-12)
     assert _expansion_weights(chsh_sign, -basis).sum() == pytest.approx(-1.0, abs=1e-12)
 
@@ -304,9 +310,24 @@ def test_unattained_bound_is_not_tight(chsh_inequality):
     assert certify_tightness(loose) == TightnessCertificate(False, 0, 0)
 
 
+# A bound-8 facet of the N=3 polytope outside the admissible family: it
+# saturates 40 of the 128 vertices, not one of each of the 64 pairs.
+_WITNESS3 = BellInequality(3, np.array([
+    [[2, 0, -2], [1, 2, -1], [-1, 0, -1]],
+    [[1, 2, -1], [0, -3, 1], [-1, 1, 0]],
+    [[1, 0, 1], [1, -1, 0], [0, -1, -1]],
+], dtype=np.int64), 8)
+
+
+def test_facet_outside_the_family():
+    assert lhv_max(_WITNESS3) == lhv_max_by_strategies(_WITNESS3) == (8, -8)
+    assert certify_tightness(_WITNESS3) == TightnessCertificate(True, 40, 27)
+
+
 def _raw_certificate(ineq):
     """Reference: Bareiss on every saturating row, signs and all."""
-    matrix = vertex_matrix(ineq.parties)
+    K = vertex_matrix(ineq.parties)
+    matrix = np.concatenate((K, -K))
     rows = matrix[matrix @ ineq.coeffs.ravel() == ineq.bound]
     rank = fraction_free_rank(rows.tolist())
     return (rank == 3 ** ineq.parties, len(rows), rank)
@@ -327,6 +348,28 @@ def test_certificate_matches_rank_of_raw_saturating_rows(census3, chsh_inequalit
     cert = certify_tightness(partial)
     assert _as_tuple(cert) == _raw_certificate(partial)
     assert cert.saturating_count < 16 and not cert.tight
+    # saturated by 28 rows +K[v] and 12 rows -K[v]: tight on a mixed-sign set
+    values = vertex_matrix(3) @ _WITNESS3.coeffs.ravel()
+    assert ((values == 8).sum(), (values == -8).sum()) == (28, 12)
+    assert _as_tuple(certify_tightness(_WITNESS3)) == _raw_certificate(_WITNESS3) == (True, 40, 27)
+
+
+@st.composite
+def _tensors_with_attained_bound(draw):
+    """A random integer tensor, mostly off the family, with a bound drawn from
+    its values over the deterministic strategies, so the face is not empty."""
+    parties = draw(st.sampled_from((2, 3)))
+    flat = draw(st.lists(st.integers(-4, 4), min_size=3 ** parties, max_size=3 ** parties))
+    coeffs = np.array(flat, dtype=np.int64).reshape((3,) * parties)
+    values = sorted(set((_strategy_matrix(parties) @ coeffs.ravel()).tolist()))
+    return BellInequality(parties, coeffs, draw(st.sampled_from(values)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ineq=_tensors_with_attained_bound())
+def test_bound_routes_and_certificate_agree_off_the_family(ineq):
+    assert lhv_max(ineq) == lhv_max_by_strategies(ineq)
+    assert _as_tuple(certify_tightness(ineq)) == _raw_certificate(ineq)
 
 
 @cache
