@@ -8,7 +8,6 @@ CH-type constraints and as the complete two-setting family.
 """
 
 from .fourier import (
-    NotSignValued,
     SignFunction,
     fourier_transform,
     is_admissible,
@@ -19,14 +18,12 @@ from .symmetry import canonicalize
 from .enumeration import (
     CanonicalClass,
     EnumerationReport,
-    UnsupportedSize,
     classify,
     enumerate_admissible,
 )
 from .polytope import (
     BellInequality,
     LhvBounds,
-    NotAdmissible,
     TightnessCertificate,
     certify_tightness,
     chsh_pattern,
@@ -37,7 +34,6 @@ from .polytope import (
     vertex_matrix,
 )
 from .quantum import (
-    NotNormalized,
     ObservableDirection,
     QuantumValueReport,
     algebraic_maximum,
@@ -60,14 +56,10 @@ __all__ = [
     "EnumerationReport",
     "LhvBounds",
     "LiftedInequality",
-    "NotAdmissible",
-    "NotNormalized",
-    "NotSignValued",
     "ObservableDirection",
     "QuantumValueReport",
     "SignFunction",
     "TightnessCertificate",
-    "UnsupportedSize",
     "algebraic_maximum",
     "bell_operator",
     "canonicalize",

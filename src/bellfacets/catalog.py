@@ -52,15 +52,15 @@ def entry_inequality(entry: dict[str, Any]) -> BellInequality:
     """Rebuild the inequality exactly as stored (coefficients not recomputed).
 
     Each field is checked first; a malformed one, a sign function outside the
-    admissible family among them, raises one ValueError.
+    admissible family among them, raises one ValueError naming the field.
     """
     missing = [k for k in ("parties", "coeffs", "bound", "sign_function") if k not in entry]
     if missing:
-        raise ValueError(f"catalog entry lacks {', '.join(missing)}")
+        raise ValueError(f"lacks {', '.join(missing)}")
     parties, coeffs, bound = entry["parties"], entry["coeffs"], entry["bound"]
     if not _is_int(parties) or not MIN_PARTIES <= parties <= MAX_PARTIES:
         raise ValueError(
-            f"entry parties must be an integer in [{MIN_PARTIES}, {MAX_PARTIES}], got {parties!r}"
+            f"parties must be an integer in [{MIN_PARTIES}, {MAX_PARTIES}], got {parties!r}"
         )
     # a vertex value sums 3^N products of +/-1 and a coefficient: exact in int64
     limit = (2**63 - 1) // 3**parties
@@ -69,32 +69,30 @@ def entry_inequality(entry: dict[str, Any]) -> BellInequality:
         and len(coeffs) == 3**parties
         and all(_is_int(c) and abs(c) <= limit for c in coeffs)
     ):
-        raise ValueError(f"entry coeffs must be a list of {3**parties} integers within +/-{limit}")
+        raise ValueError(f"coeffs must be a list of {3**parties} integers within +/-{limit}")
     if not _is_int(bound) or abs(bound) > limit:
-        raise ValueError(f"entry bound must be an integer within +/-{limit}, got {bound!r}")
+        raise ValueError(f"bound must be an integer within +/-{limit}, got {bound!r}")
     provenance = SignFunction.from_text(entry["sign_function"])
     if provenance.parties != parties:
-        raise ValueError(f"entry sign_function has N={provenance.parties}, parties is {parties}")
+        raise ValueError(f"sign_function has N={provenance.parties}, parties is {parties}")
     if not is_admissible(provenance):
-        raise ValueError(f"entry sign_function {provenance.to_text()} has a local-product Fourier component")
+        raise ValueError(f"sign_function {provenance.to_text()} has a local-product Fourier component")
     array = np.array(coeffs, dtype=np.int64).reshape((3,) * parties)
     array.setflags(write=False)
     return BellInequality(parties=parties, coeffs=array, bound=bound, provenance=provenance)
 
 
-def entry_certificate(entry: dict[str, Any], index: int) -> TightnessCertificate:
+def entry_certificate(entry: dict[str, Any]) -> TightnessCertificate:
     """The certificate an entry records; a missing or mistyped field raises
-    one ValueError naming the entry's index and the field."""
+    one ValueError naming the field."""
     missing = [k for k in ("tight", "saturating_count", "rank") if k not in entry]
     if missing:
-        raise ValueError(f"catalog entry {index} lacks {', '.join(missing)}")
+        raise ValueError(f"lacks {', '.join(missing)}")
     if not isinstance(entry["tight"], bool):
-        raise ValueError(f"catalog entry {index}: tight must be true or false, got {entry['tight']!r}")
+        raise ValueError(f"tight must be true or false, got {entry['tight']!r}")
     for key in ("saturating_count", "rank"):
         if not _is_int(entry[key]) or entry[key] < 0:
-            raise ValueError(
-                f"catalog entry {index}: {key} must be a non-negative integer, got {entry[key]!r}"
-            )
+            raise ValueError(f"{key} must be a non-negative integer, got {entry[key]!r}")
     return TightnessCertificate(entry["tight"], entry["saturating_count"], entry["rank"])
 
 
@@ -151,7 +149,13 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The parsed file; text that is not JSON, or nests too deeply to parse,
+    raises ValueError."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path} nests too deeply to parse as JSON") from None
 
 
 def catalog_csv(rows: list[dict[str, Any]]) -> str:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -73,6 +74,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _read_entries(read: Callable[[dict], Any], entries: list[dict]) -> list:
+    """read(entry) for every entry; a malformed one raises a ValueError that
+    names the entry's index."""
+    out = []
+    for index, entry in enumerate(entries):
+        try:
+            out.append(read(entry))
+        except ValueError as exc:
+            raise ValueError(f"catalog entry {index}: {exc}") from None
+    return out
+
+
 def _read_catalog(args: argparse.Namespace) -> tuple[list[dict], list[BellInequality]]:
     """The entries of the --in catalog and their inequalities, every entry
     validated before any is checked: a file that is not a JSON list of
@@ -80,7 +93,7 @@ def _read_catalog(args: argparse.Namespace) -> tuple[list[dict], list[BellInequa
     entries = cat.read_json(args.input_path)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"{args.input_path} is not a catalog: expected a JSON list of objects")
-    return entries, [cat.entry_inequality(entry) for entry in entries]
+    return entries, _read_entries(cat.entry_inequality, entries)
 
 
 def _induced_ok(command: str, inequalities: list[BellInequality]) -> list[bool]:
@@ -136,7 +149,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     entries, inequalities = _read_catalog(args)
-    stored = [cat.entry_certificate(entry, index) for index, entry in enumerate(entries)]
+    stored = _read_entries(cat.entry_certificate, entries)
     coeffs_ok = _induced_ok(args.command, inequalities)
     results = []
     for entry, ineq, expected, induced in zip(entries, inequalities, stored, coeffs_ok):

@@ -22,13 +22,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .fourier import SignFunction, _bit_tables, _fwht, _setting_subsets, is_factorable, table_size
+from .fourier import (SignFunction, _bit_tables, _check_parties, _fwht, _setting_subsets, is_factorable,
+                      table_size)
 from .polytope import chsh_pattern, inequality_from_sign_function
 from .symmetry import orbit_least
-
-
-class UnsupportedSize(ValueError):
-    """Requested an enumeration outside the supported desk-scale range."""
 
 
 # Candidate (s0, s1, s2) triples tested per block: 12 blocks cover N=3, and at
@@ -82,8 +79,7 @@ def _table_stream(parties: int) -> Iterator[int]:
 def enumerate_admissible(parties: int) -> Iterator[SignFunction]:
     """Stream every admissible sign function exactly once, deterministically,
     by the section recursion."""
-    if not 2 <= parties <= 4:
-        raise UnsupportedSize(f"enumeration supports 2 to 4 observers, got {parties}")
+    _check_parties(parties)
     for table in _table_stream(parties):
         yield SignFunction(parties, table)
 
@@ -113,7 +109,7 @@ def classify(parties: int) -> EnumerationReport:
     raises RuntimeError.
     """
     if parties not in (2, 3):
-        raise UnsupportedSize(f"census is desk-scale for 2 or 3 observers, got {parties}")
+        raise ValueError(f"census is desk-scale for 2 or 3 observers, got {parties}")
     tables = np.sort(_admissible_tables(parties))
     least, size = orbit_least(parties, tables)
     reps, first, members = np.unique(least, return_index=True, return_counts=True)

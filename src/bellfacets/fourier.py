@@ -34,11 +34,6 @@ MIN_PARTIES = 2
 MAX_PARTIES = 4
 
 
-class NotSignValued(ValueError):
-    """A value table given to SignFunction.from_values or from_function holds
-    an entry other than +/-1."""
-
-
 def table_size(parties: int) -> int:
     """Number of variable assignments, 2^(2N)."""
     return 1 << (2 * parties)
@@ -95,7 +90,7 @@ class SignFunction:
             if v == -1:
                 table |= 1 << k
             elif v != 1:
-                raise NotSignValued(f"table entry {k} is {v}, not +/-1")
+                raise ValueError(f"table entry {k} is {v}, not +/-1")
         return cls(parties, table)
 
     @classmethod

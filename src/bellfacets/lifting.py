@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import UnsupportedSize
 from .fourier import SignFunction, _bit_tables, _pair_codes, is_admissible
 from .polytope import BellInequality, inequality_from_sign_function, vertex_matrix
 
@@ -79,7 +78,7 @@ def two_setting_reduction(parties: int) -> list[BellInequality]:
     exactly 2^(2^N) members, covering the complete two-setting family.
     """
     if not 2 <= parties <= 3:
-        raise UnsupportedSize(f"two-setting reduction is desk-scale for N in (2, 3), got {parties}")
+        raise ValueError(f"two-setting reduction is desk-scale for N in (2, 3), got {parties}")
     # bit k of a table is the bit of its code at assignment k's first variables
     first = (_pair_codes(parties) & 1) << np.arange(parties)
     codes = np.arange(1 << (1 << parties))[:, None]

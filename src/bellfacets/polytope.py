@@ -39,10 +39,6 @@ from .fourier import (SignFunction, _check_parties, _fwht, _setting_subsets, fou
                       is_admissible, table_size)
 
 
-class NotAdmissible(ValueError):
-    """Sign function has a forbidden local-product Fourier component."""
-
-
 @lru_cache(maxsize=None)
 def vertex_matrix(parties: int) -> np.ndarray:
     """The table K of 4^N flattened (3,)*N tensors: row v is
@@ -79,7 +75,7 @@ class BellInequality:
 def inequality_from_sign_function(s: SignFunction) -> BellInequality:
     """Place the spectrum of an admissible sign function on settings tuples."""
     if not is_admissible(s):
-        raise NotAdmissible(f"{s.to_text()} has a local-product Fourier component")
+        raise ValueError(f"{s.to_text()} has a local-product Fourier component")
     coeffs = fourier_transform(s)[_setting_subsets(s.parties)].reshape((3,) * s.parties)
     coeffs.setflags(write=False)
     return BellInequality(s.parties, coeffs, table_size(s.parties), provenance=s)

@@ -58,10 +58,6 @@ _ROW_BLOCK = 64  # rows advanced together; bounds every stacked array
 _EXTRAPOLATE_EVERY = 5  # iterations of a row between its extrapolation trials
 
 
-class NotNormalized(ValueError):
-    """State vector norm is not 1 within 1e-12."""
-
-
 @dataclass(frozen=True, eq=False)
 class ObservableDirection:
     """Unit Bloch vectors, one per (observer, setting); shape (N, 3, 3)."""
@@ -84,10 +80,6 @@ class ObservableDirection:
         vecs = rng.normal(size=(parties, 3, 3))
         vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
         return cls(vecs)
-
-    def observable(self, party: int, setting: int) -> np.ndarray:
-        """The 2x2 observable n . sigma for one observer and setting."""
-        return np.tensordot(self.directions[party, setting], _PAULI, axes=(0, 0))
 
 
 @cache
@@ -165,7 +157,7 @@ def evaluate_state(ineq: BellInequality, dirs: ObservableDirection, state: np.nd
     if state.shape != (2 ** ineq.parties,):
         raise ValueError(f"state must have 2^{ineq.parties} amplitudes")
     if not abs(np.linalg.norm(state) - 1.0) <= 1e-12:  # NaN fails too
-        raise NotNormalized("state vector must have unit norm within 1e-12")
+        raise ValueError("state vector must have unit norm within 1e-12")
     return float(np.real(np.conj(state) @ bell_operator(ineq, dirs) @ state))
 
 

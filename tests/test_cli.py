@@ -313,7 +313,18 @@ def test_missing_entry_field_is_one_line_error(command, catalog2, tmp_path, caps
     bad.write_text(json.dumps(entries))
     capsys.readouterr()
     assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
-    assert capsys.readouterr().err == f"bellfacets {command}: catalog entry lacks coeffs\n"
+    assert capsys.readouterr().err == f"bellfacets {command}: catalog entry 1: lacks coeffs\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "violate", "lift"])
+def test_malformed_entry_error_names_its_index(command, catalog2, tmp_path, capsys):
+    entries = json.loads(catalog2.read_text())
+    entries[4]["coeffs"] = entries[4]["coeffs"][:8]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"bellfacets {command}: catalog entry 4: coeffs must be ")
 
 
 _ABSENT = object()
@@ -419,7 +430,7 @@ def test_sign_function_outside_the_family_is_rejected_on_reading(command, catalo
     capsys.readouterr()
     assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err == (f"bellfacets {command}: entry sign_function N=2;table=0001 "
+    assert err == (f"bellfacets {command}: catalog entry 3: sign_function N=2;table=0001 "
                    "has a local-product Fourier component\n")
     assert not (tmp_path / "out.json").exists()
 
@@ -439,6 +450,16 @@ def test_empty_catalog_passes(command, extra, text, tmp_path, capsys):
 def test_missing_input_file_is_io_error(tmp_path):
     code = run_cli("verify", "--in", tmp_path / "absent.json", "--out", tmp_path / "v.json")
     assert code == EXIT_ERROR
+
+
+@pytest.mark.parametrize("command", ["verify", "lift", "violate"])
+def test_deeply_nested_input_is_one_line_error(command, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    capsys.readouterr()
+    assert run_cli(command, "--in", deep, "--out", tmp_path / "out.json") == EXIT_ERROR
+    assert capsys.readouterr().err == f"bellfacets {command}: {deep} nests too deeply to parse as JSON\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_csv_rejected_for_nested_outputs(catalog2, tmp_path):

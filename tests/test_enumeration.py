@@ -7,7 +7,6 @@ import pytest
 
 from bellfacets import (
     SignFunction,
-    UnsupportedSize,
     canonicalize,
     enumerate_admissible,
     inequality_from_sign_function,
@@ -122,7 +121,7 @@ def test_three_observer_stream_is_admissible_sample():
 
 @pytest.mark.parametrize("parties", [5, 1])
 def test_unsupported_sizes(parties):
-    with pytest.raises(UnsupportedSize):
+    with pytest.raises(ValueError, match=r"parties must be in \[2, 4\]"):
         next(enumerate_admissible(parties))
 
 
@@ -135,7 +134,7 @@ def test_census_rejects_an_orbit_leaving_the_family(monkeypatch):
 
 
 def test_classify_rejects_four_observers():
-    with pytest.raises(UnsupportedSize):
+    with pytest.raises(ValueError, match="desk-scale"):
         classify(4)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellfacets import (
-    NotSignValued,
     SignFunction,
     fourier_transform,
     is_admissible,
@@ -247,5 +246,5 @@ def test_text_parser_raises_only_value_error(text):
 
 
 def test_from_values_rejects_non_sign():
-    with pytest.raises(NotSignValued):
+    with pytest.raises(ValueError, match=r"table entry 15 is 2, not \+/-1"):
         SignFunction.from_values(2, [1] * 15 + [2])

@@ -3,7 +3,6 @@ import pytest
 
 from bellfacets import (
     SignFunction,
-    UnsupportedSize,
     canonicalize,
     certify_tightness,
     chsh_pattern,
@@ -97,7 +96,7 @@ def test_reduction_tables_match_first_variable_loop():
 
 
 def test_reduction_rejects_large_sizes():
-    with pytest.raises(UnsupportedSize):
+    with pytest.raises(ValueError, match="desk-scale"):
         two_setting_reduction(4)
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bellfacets import quantum
 from bellfacets import (
     BellInequality,
-    NotNormalized,
     ObservableDirection,
     SignFunction,
     algebraic_maximum,
@@ -86,12 +85,12 @@ def test_nan_directions_are_not_unit():
 
 
 def test_evaluate_state_requires_normalization(chsh_inequality, chsh_optimal_dirs):
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValueError, match="unit norm"):
         evaluate_state(chsh_inequality, chsh_optimal_dirs, np.array([1.0, 0, 0, 1.0]))
 
 
 def test_evaluate_state_rejects_a_nan_state(chsh_inequality, chsh_optimal_dirs):
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValueError, match="unit norm"):
         evaluate_state(chsh_inequality, chsh_optimal_dirs, np.full(4, np.nan))
 
 
@@ -186,7 +185,15 @@ def test_seesaw_rejects_a_non_positive_bound_before_iterating(chsh_inequality, b
 
 # ── per-term reference loops ────────────────────────────────────────────────
 # The library contracts in Pauli coordinates; these loops build the same
-# operator, scores and see-saw one term and one setting at a time.
+# operator, scores and see-saw one term and one setting at a time, from the
+# Pauli matrices written out here.
+
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _observable(direction):
+    """n . sigma for one Bloch vector n."""
+    return np.tensordot(direction, _SIGMA, axes=(0, 0))
 
 
 def _terms(ineq):
@@ -198,7 +205,7 @@ def _reference_operator(ineq, dirs):
     dim = 2 ** ineq.parties
     out = np.zeros((dim, dim), dtype=np.complex128)
     for settings, coeff in _terms(ineq):
-        mats = [dirs.observable(i, settings[i]) for i in range(ineq.parties)]
+        mats = [_observable(dirs.directions[i, settings[i]]) for i in range(ineq.parties)]
         out += coeff * reduce(np.kron, mats)
     return out
 
@@ -212,12 +219,12 @@ def _reference_direction_score(psi_tensor, terms, dirs, party, setting, parties)
         for j in range(parties):
             if j == party:
                 continue
-            obs = np.tensordot(dirs[j, settings[j]], quantum._PAULI, axes=(0, 0))
+            obs = _observable(dirs[j, settings[j]])
             phi = np.moveaxis(np.tensordot(obs, phi, axes=(1, j)), 0, j)
         phi = np.moveaxis(phi, party, -1).reshape(-1, 2)
         psi = np.moveaxis(psi_tensor, party, -1).reshape(-1, 2)
         reduced += coeff * phi.T @ np.conj(psi)
-    return np.real(np.einsum("kqp,pq->k", quantum._PAULI, reduced))
+    return np.real(np.einsum("kqp,pq->k", _SIGMA, reduced))
 
 
 def _reference_trial(dirs, before, rho):
