@@ -9,10 +9,15 @@ violate    append see-saw quantum reports to a catalog
 reduce     write the catalog of two-setting (first-variable) inequalities
 lift       append lifted (marginal + correlation) blocks to a catalog
 
+verify, lift and violate check every entry they read by one rule: its
+coefficients are those its sign function induces, its bound is the
+brute-force LHV maximum, and its stored certificate is the recomputed one,
+tight.  verify writes these verdicts; each of the three writes its output,
+then prints one line per failing entry naming the failed checks.
+
 Exit status: 0 when all checks pass, 2 when a finding is recorded (an entry
-that is not tight, whose bound does not match the brute-force value, or whose
-coefficients are not those its sign function induces; violate also flags a
-stored bound other than the induced 2^(2N)), and 1 for usage or I/O errors
+that fails that rule, or an enumerate or reduce entry that is not tight or
+whose bound is not the brute-force value), and 1 for usage or I/O errors
 and malformed catalog entries (a sign function outside the admissible family
 among them).  Output bytes are fully determined by the flags; re-running a
 command reproduces its files exactly.
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import catalog as cat
 from .enumeration import classify
-from .fourier import SignFunction, table_size
+from .fourier import SignFunction
 from .lifting import lift, two_setting_reduction
 from .polytope import (
     BellInequality,
@@ -86,33 +91,53 @@ def _read_entries(read: Callable[[dict], Any], entries: list[dict]) -> list:
     return out
 
 
-def _read_catalog(args: argparse.Namespace) -> tuple[list[dict], list[BellInequality]]:
-    """The entries of the --in catalog and their inequalities, every entry
-    validated before any is checked: a file that is not a JSON list of
-    objects, or a malformed entry, raises ValueError."""
-    entries = cat.read_json(args.input_path)
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError(f"{args.input_path} is not a catalog: expected a JSON list of objects")
-    return entries, _read_entries(cat.entry_inequality, entries)
-
-
-def _induced_ok(command: str, inequalities: list[BellInequality]) -> list[bool]:
-    """Whether each entry's stored coefficients are those its sign function
-    induces; each mismatch is reported on stderr."""
-    flags = [bool((inequality_from_sign_function(ineq.provenance).coeffs == ineq.coeffs).all())
-             for ineq in inequalities]
-    for index, (ineq, ok) in enumerate(zip(inequalities, flags)):
-        if not ok:
-            print(f"bellfacets {command}: entry {index} ({ineq.provenance.to_text()}) has "
-                  "coefficients its sign function does not induce", file=sys.stderr)
-    return flags
-
-
 def _certify(ineq: BellInequality) -> tuple[LhvBounds, TightnessCertificate, bool]:
     """The LHV extremes, the tightness certificate and whether the inequality
     is certified: tight, with LHV maximum and minimum +/- its bound."""
     bounds, cert = lhv_max(ineq), certify_tightness(ineq)
     return bounds, cert, cert.tight and bounds == (ineq.bound, -ineq.bound)
+
+
+def _verdict(entry: dict, ineq: BellInequality, stored: TightnessCertificate) -> dict[str, Any]:
+    """Every claim of one entry re-checked, as the row verify writes: its
+    coefficients are those its sign function induces, its bound is the LHV
+    maximum, and its stored certificate is the recomputed one, tight."""
+    bounds, cert, certified = _certify(ineq)
+    induced = bool((inequality_from_sign_function(ineq.provenance).coeffs == ineq.coeffs).all())
+    return {
+        "sign_function": entry["sign_function"],
+        "coeffs_ok": induced,
+        "lhv_max": bounds.maximum,
+        "lhv_min": bounds.minimum,
+        "bound_ok": bounds == (ineq.bound, -ineq.bound),
+        "tight": cert.tight,
+        "saturating_count": cert.saturating_count,
+        "rank": cert.rank,
+        "certificate_ok": cert == stored,
+        "pass": induced and certified and cert == stored,
+    }
+
+
+def _read_catalog(args: argparse.Namespace) -> tuple[list[dict], list[BellInequality], list[dict]]:
+    """The entries of the --in catalog, their inequalities and their verdicts,
+    every entry validated before any is checked: a file that is not a JSON
+    list of objects, or a malformed entry, raises ValueError."""
+    entries = cat.read_json(args.input_path)
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{args.input_path} is not a catalog: expected a JSON list of objects")
+    inequalities = _read_entries(cat.entry_inequality, entries)
+    stored = _read_entries(cat.entry_certificate, entries)
+    return entries, inequalities, [_verdict(*row) for row in zip(entries, inequalities, stored)]
+
+
+def _findings(command: str, verdicts: list[dict]) -> int:
+    """One stderr line per failing entry, naming its failed checks; the exit status."""
+    for index, verdict in enumerate(verdicts):
+        failed = [key for key in ("coeffs_ok", "bound_ok", "tight", "certificate_ok") if not verdict[key]]
+        if failed:
+            print(f"bellfacets {command}: entry {index} ({verdict['sign_function']}) fails "
+                  f"{', '.join(failed)}", file=sys.stderr)
+    return EXIT_OK if all(v["pass"] for v in verdicts) else EXIT_FINDINGS
 
 
 def _write_certified(args: argparse.Namespace, inequalities: list[BellInequality],
@@ -148,42 +173,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    entries, inequalities = _read_catalog(args)
-    stored = _read_entries(cat.entry_certificate, entries)
-    coeffs_ok = _induced_ok(args.command, inequalities)
-    results = []
-    for entry, ineq, expected, induced in zip(entries, inequalities, stored, coeffs_ok):
-        bounds, cert, certified = _certify(ineq)
-        results.append(
-            {
-                "sign_function": entry["sign_function"],
-                "coeffs_ok": induced,
-                "lhv_max": bounds.maximum,
-                "lhv_min": bounds.minimum,
-                "bound_ok": bounds == (ineq.bound, -ineq.bound),
-                "tight": cert.tight,
-                "saturating_count": cert.saturating_count,
-                "rank": cert.rank,
-                "certificate_ok": cert == expected,
-                "pass": induced and certified and cert == expected,
-            }
-        )
-    cat.write_catalog(args.output_path, results, args.format)
-    return EXIT_OK if all(r["pass"] for r in results) else EXIT_FINDINGS
+    _, _, verdicts = _read_catalog(args)
+    cat.write_catalog(args.output_path, verdicts, args.format)
+    return _findings(args.command, verdicts)
 
 
 def _cmd_violate(args: argparse.Namespace) -> int:
-    entries, inequalities = _read_catalog(args)
+    entries, inequalities, verdicts = _read_catalog(args)
     reports = seesaw_maximize_all(inequalities, restarts=args.restarts, seed=args.seed)
-    coeffs_ok = _induced_ok(args.command, inequalities)
-    wrong_bound = [(k, ineq) for k, ineq in enumerate(inequalities) if ineq.bound != table_size(ineq.parties)]
-    for index, ineq in wrong_bound:
-        print(f"bellfacets violate: entry {index} ({ineq.provenance.to_text()}) has bound {ineq.bound}, "
-              f"not the {table_size(ineq.parties)} its sign function induces", file=sys.stderr)
     for entry, report in zip(entries, reports):
         entry["quantum"] = cat.quantum_block(report, args.seed, args.restarts)
     cat.write_json(args.output_path, entries)
-    return EXIT_OK if all(coeffs_ok) and not wrong_bound else EXIT_FINDINGS
+    return _findings(args.command, verdicts)
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -192,12 +193,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
-    entries, inequalities = _read_catalog(args)
-    coeffs_ok = _induced_ok(args.command, inequalities)
+    entries, inequalities, verdicts = _read_catalog(args)
     for entry, ineq in zip(entries, inequalities):
         entry["lifted"] = cat.lifted_block(lift(ineq))
     cat.write_json(args.output_path, entries)
-    return EXIT_OK if all(coeffs_ok) else EXIT_FINDINGS
+    return _findings(args.command, verdicts)
 
 
 # command -> (handler, the flags it reads)

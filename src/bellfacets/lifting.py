@@ -48,14 +48,8 @@ def lift(ineq: BellInequality) -> LiftedInequality:
     values = vertex_matrix(parties) @ ineq.coeffs.ravel()
     low, high = int(values.min()), int(values.max())
     constant = int(ineq.coeffs[(0,) * parties])
-    marginals = []
-    for i in range(parties):
-        pos = [0] * parties
-        pair = []
-        for n in (1, 2):
-            pos[i] = n
-            pair.append(int(ineq.coeffs[tuple(pos)]))
-        marginals.append((pair[0], pair[1]))
+    marginals = [tuple(int(c) for c in ineq.coeffs[(0,) * i + (slice(1, 3),) + (0,) * (parties - 1 - i)])
+                 for i in range(parties)]
     correlations = tuple(
         (tuple(int(x) for x in pos), int(ineq.coeffs[tuple(pos)]))
         for pos in np.argwhere(ineq.coeffs)

@@ -44,10 +44,7 @@ import numpy as np
 
 from .polytope import BellInequality
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_PAULI = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128)
 
 _DEGENERATE_NORM = 1e-12
 _MONOTONE_SLACK = 1e-8

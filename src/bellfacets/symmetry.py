@@ -70,6 +70,8 @@ def _sign_free_images(s: SignFunction) -> Iterator[np.ndarray]:
 def orbit_words(s: SignFunction) -> np.ndarray:
     """Sorted packed tables of the full orbit of s, one machine word each
     (N <= 3); complementing a word is the global sign flip."""
+    if s.parties > 3:
+        raise ValueError(f"orbit words hold tables of N <= 3 observers, got N={s.parties}")
     packed = np.packbits(np.concatenate(list(_sign_free_images(s))), axis=-1, bitorder="little")
     words = packed.view(f"<u{packed.shape[-1]}").ravel()
     orbit = np.sort(np.concatenate((words, ~words)))

@@ -330,24 +330,34 @@ def test_malformed_entry_error_names_its_index(command, catalog2, tmp_path, caps
 _ABSENT = object()
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        pytest.param("tight", _ABSENT, id="tight-missing"),
-        pytest.param("tight", 1, id="tight-int"),
-        pytest.param("tight", "true", id="tight-text"),
-        pytest.param("tight", None, id="tight-null"),
-        pytest.param("saturating_count", _ABSENT, id="count-missing"),
-        pytest.param("saturating_count", -16, id="count-negative"),
-        pytest.param("saturating_count", 16.0, id="count-float"),
-        pytest.param("saturating_count", True, id="count-bool"),
-        pytest.param("rank", _ABSENT, id="rank-missing"),
-        pytest.param("rank", "9", id="rank-text"),
-        pytest.param("rank", [9], id="rank-list"),
-        pytest.param("rank", False, id="rank-bool"),
-    ],
-)
-def test_malformed_certificate_field_is_one_line_error(field, value, catalog2, tmp_path, capsys):
+def _no_seesaw(*args, **kwargs):
+    raise AssertionError("the see-saw ran before the catalog was read")
+
+
+_CERTIFICATE_CASES = [
+    ("tight", _ABSENT, "tight-missing"),
+    ("tight", 1, "tight-int"),
+    ("tight", "true", "tight-text"),
+    ("tight", None, "tight-null"),
+    ("saturating_count", _ABSENT, "count-missing"),
+    ("saturating_count", -16, "count-negative"),
+    ("saturating_count", 16.0, "count-float"),
+    ("saturating_count", True, "count-bool"),
+    ("rank", _ABSENT, "rank-missing"),
+    ("rank", "9", "rank-text"),
+    ("rank", [9], "rank-list"),
+    ("rank", False, "rank-bool"),
+]
+
+
+# every command that reads a catalog reads its certificate fields; verify's ids are unprefixed
+@pytest.mark.parametrize("command, field, value", [
+    pytest.param(command, field, value, id=case if command == "verify" else f"{command}-{case}")
+    for command in ("verify", "lift", "violate") for field, value, case in _CERTIFICATE_CASES
+])
+def test_malformed_certificate_field_is_one_line_error(command, field, value, catalog2, tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(cli, "seesaw_maximize_all", _no_seesaw)
     entries = json.loads(catalog2.read_text())
     if value is _ABSENT:
         del entries[3][field]
@@ -356,9 +366,9 @@ def test_malformed_certificate_field_is_one_line_error(field, value, catalog2, t
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(entries))
     capsys.readouterr()
-    assert run_cli("verify", "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("bellfacets verify: catalog entry 3"), err
+    assert err.count("\n") == 1 and err.startswith(f"bellfacets {command}: catalog entry 3: "), err
     assert field in err
     assert not (tmp_path / "out.json").exists()
 
@@ -378,6 +388,29 @@ def test_mismatched_coefficients_are_a_finding(command, extra, block, catalog2, 
     assert capsys.readouterr().err.startswith(f"bellfacets {command}: entry 2 ")
     written = json.loads(out.read_text())
     assert len(written) == 6 and all(block in e for e in written)
+
+
+@pytest.mark.parametrize("command", ["verify", "lift", "violate"])
+@pytest.mark.parametrize("tamper, failed", [
+    pytest.param(lambda e: e["coeffs"].__setitem__(0, e["coeffs"][0] + 8),
+                 "coeffs_ok, bound_ok, tight, certificate_ok", id="coeffs"),
+    pytest.param(lambda e: e.update(bound=8), "bound_ok, tight, certificate_ok", id="bound-8"),
+    pytest.param(lambda e: e.update(tight=False), "certificate_ok", id="tight-false"),
+    pytest.param(lambda e: e.update(rank=8), "certificate_ok", id="rank-8"),
+    pytest.param(lambda e: e.update(saturating_count=0), "certificate_ok", id="count-0"),
+])
+def test_every_reader_checks_every_claim(command, tamper, failed, catalog2, tmp_path, capsys):
+    entries = json.loads(catalog2.read_text())
+    tamper(entries[2])
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(entries))
+    out = tmp_path / "out.json"
+    extra = ("--restarts", 1) if command == "violate" else ()
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", out, *extra) == EXIT_FINDINGS
+    assert capsys.readouterr().err == (f"bellfacets {command}: entry 2 ({entries[2]['sign_function']}) "
+                                       f"fails {failed}\n")
+    assert len(json.loads(out.read_text())) == 6
 
 
 @pytest.mark.parametrize("bound, code, names", [
@@ -419,10 +452,7 @@ def test_malformed_entry_after_a_finding_is_one_line_error(command, field, value
 @pytest.mark.parametrize("command", ["verify", "lift", "violate"])
 def test_sign_function_outside_the_family_is_rejected_on_reading(command, catalog2, tmp_path, capsys,
                                                                  monkeypatch):
-    def no_seesaw(*args, **kwargs):
-        raise AssertionError("the see-saw ran before the catalog was read")
-
-    monkeypatch.setattr(cli, "seesaw_maximize_all", no_seesaw)
+    monkeypatch.setattr(cli, "seesaw_maximize_all", _no_seesaw)
     entries = json.loads(catalog2.read_text())
     entries[3]["sign_function"] = "N=2;table=0001"
     bad = tmp_path / "bad.json"

@@ -186,6 +186,15 @@ def test_orbit_least_on_a_set_not_closed_under_the_group(monkeypatch):
         assert n == len(orbit_words(s))
 
 
+def test_orbit_walk_rejects_four_observers():
+    s = SignFunction.from_text("N=4;table=33cc330055ff553355cc0c0c55ff0c3faaccf3c0aafff3f3ccccccccaaffaaff")
+    message = r"orbit words hold tables of N <= 3 observers, got N=4"
+    with pytest.raises(ValueError, match=message):
+        orbit_words(s)
+    with pytest.raises(ValueError, match=message):
+        orbit_least(4, np.zeros(1, dtype=np.uint64))
+
+
 def test_orbit_four_observers_contains_sampled_images():
     # the full 196608-element reference is too slow here; sample the group
     rng = np.random.default_rng(79)
