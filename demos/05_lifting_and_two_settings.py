@@ -17,6 +17,7 @@ from bellfacets import (
     is_factorable,
     lift,
     seesaw_maximize,
+    sign_function_of,
     two_setting_reduction,
 )
 
@@ -38,7 +39,7 @@ def main():
     print("\nTwo-setting reduction (functions of first variables only):")
     for parties in (2, 3):
         reduced = two_setting_reduction(parties)
-        trivial_count = sum(1 for i in reduced if is_factorable(i.provenance))
+        trivial_count = sum(1 for i in reduced if is_factorable(sign_function_of(i)))
         print(f"  N={parties}: {len(reduced)} = 2^(2^{parties}) functions, "
               f"{trivial_count} trivial")
 
@@ -47,7 +48,7 @@ def main():
     target[0, 0, 0] = -32
     target[1, 1, 0] = target[1, 0, 1] = target[0, 1, 1] = 32
     mermin = next(i for i in two_setting_reduction(3) if (i.coeffs == target).all())
-    print(f"  generator: {mermin.provenance.to_text()}")
+    print(f"  generator: {sign_function_of(mermin).to_text()}")
     report = seesaw_maximize(mermin, restarts=16, seed=7)
     print(f"  classical bound 64, quantum maximum {report.quantum_max:.6f} "
           f"-> ratio {report.violation_ratio:.6f}")

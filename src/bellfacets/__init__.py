@@ -31,6 +31,7 @@ from .polytope import (
     inequality_from_sign_function,
     lhv_max,
     lhv_max_by_strategies,
+    sign_function_of,
     vertex_matrix,
 )
 from .quantum import (
@@ -78,6 +79,7 @@ __all__ = [
     "lift",
     "seesaw_maximize",
     "seesaw_maximize_all",
+    "sign_function_of",
     "table_size",
     "two_setting_reduction",
     "vertex_matrix",

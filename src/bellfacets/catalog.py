@@ -18,7 +18,7 @@ import numpy as np
 from .enumeration import EnumerationReport
 from .fourier import MAX_PARTIES, MIN_PARTIES, SignFunction, is_admissible
 from .lifting import LiftedInequality
-from .polytope import BellInequality, TightnessCertificate
+from .polytope import BellInequality, TightnessCertificate, sign_function_of
 from .quantum import QuantumValueReport
 
 
@@ -30,11 +30,11 @@ def settings_labels(parties: int) -> list[str]:
 def inequality_entry(
     ineq: BellInequality, certificate: TightnessCertificate, canonical: bool
 ) -> dict[str, Any]:
-    if ineq.provenance is None:
+    if (s := sign_function_of(ineq)) is None:
         raise ValueError("catalog entries need a generating sign function")
     return {  # in the CSV column order; JSON sorts the keys
         "parties": ineq.parties,
-        "sign_function": ineq.provenance.to_text(),
+        "sign_function": s.to_text(),
         "bound": ineq.bound,
         "canonical": canonical,
         "tight": certificate.tight,
@@ -51,8 +51,8 @@ def _is_int(value: Any) -> bool:
 def entry_inequality(entry: dict[str, Any]) -> BellInequality:
     """Rebuild the inequality exactly as stored (coefficients not recomputed).
 
-    Each field is checked first; a malformed one, a sign function outside the
-    admissible family among them, raises one ValueError naming the field.
+    Each field is checked first; a malformed one, a non-positive bound or a
+    non-admissible sign function among them, raises one ValueError naming it.
     """
     missing = [k for k in ("parties", "coeffs", "bound", "sign_function") if k not in entry]
     if missing:
@@ -72,14 +72,16 @@ def entry_inequality(entry: dict[str, Any]) -> BellInequality:
         raise ValueError(f"coeffs must be a list of {3**parties} integers within +/-{limit}")
     if not _is_int(bound) or abs(bound) > limit:
         raise ValueError(f"bound must be an integer within +/-{limit}, got {bound!r}")
-    provenance = SignFunction.from_text(entry["sign_function"])
-    if provenance.parties != parties:
-        raise ValueError(f"sign_function has N={provenance.parties}, parties is {parties}")
-    if not is_admissible(provenance):
-        raise ValueError(f"sign_function {provenance.to_text()} has a local-product Fourier component")
+    if bound <= 0:
+        raise ValueError(f"bound must be positive, got {bound}")
+    s = SignFunction.from_text(entry["sign_function"])
+    if s.parties != parties:
+        raise ValueError(f"sign_function has N={s.parties}, parties is {parties}")
+    if not is_admissible(s):
+        raise ValueError(f"sign_function {s.to_text()} has a local-product Fourier component")
     array = np.array(coeffs, dtype=np.int64).reshape((3,) * parties)
     array.setflags(write=False)
-    return BellInequality(parties=parties, coeffs=array, bound=bound, provenance=provenance)
+    return BellInequality(parties=parties, coeffs=array, bound=bound)
 
 
 def entry_certificate(entry: dict[str, Any]) -> TightnessCertificate:

@@ -10,7 +10,7 @@ reduce     write the catalog of two-setting (first-variable) inequalities
 lift       append lifted (marginal + correlation) blocks to a catalog
 
 verify, lift and violate check every entry they read by one rule: its
-coefficients are those its sign function induces, its bound is the
+sign function is the one read off its coefficients, its bound is the
 brute-force LHV maximum, and its stored certificate is the recomputed one,
 tight.  verify writes these verdicts; each of the three writes its output,
 then prints one line per failing entry naming the failed checks.
@@ -18,9 +18,9 @@ then prints one line per failing entry naming the failed checks.
 Exit status: 0 when all checks pass, 2 when a finding is recorded (an entry
 that fails that rule, or an enumerate or reduce entry that is not tight or
 whose bound is not the brute-force value), and 1 for usage or I/O errors
-and malformed catalog entries (a sign function outside the admissible family
-among them).  Output bytes are fully determined by the flags; re-running a
-command reproduces its files exactly.
+and malformed catalog entries (a non-positive bound or a sign function
+outside the admissible family among them).  Output bytes are fully
+determined by the flags; re-running a command reproduces its files exactly.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .polytope import (
     certify_tightness,
     inequality_from_sign_function,
     lhv_max,
+    sign_function_of,
 )
 from .quantum import seesaw_maximize_all
 from .symmetry import orbit_least
@@ -100,10 +101,10 @@ def _certify(ineq: BellInequality) -> tuple[LhvBounds, TightnessCertificate, boo
 
 def _verdict(entry: dict, ineq: BellInequality, stored: TightnessCertificate) -> dict[str, Any]:
     """Every claim of one entry re-checked, as the row verify writes: its
-    coefficients are those its sign function induces, its bound is the LHV
+    sign function is the one read off its coefficients, its bound is the LHV
     maximum, and its stored certificate is the recomputed one, tight."""
     bounds, cert, certified = _certify(ineq)
-    induced = bool((inequality_from_sign_function(ineq.provenance).coeffs == ineq.coeffs).all())
+    induced = sign_function_of(ineq) == SignFunction.from_text(entry["sign_function"])
     return {
         "sign_function": entry["sign_function"],
         "coeffs_ok": induced,
@@ -189,7 +190,7 @@ def _cmd_violate(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     reduction = two_setting_reduction(args.parties)
-    return _write_certified(args, reduction, _canonical_flags([ineq.provenance for ineq in reduction]))
+    return _write_certified(args, reduction, _canonical_flags([sign_function_of(ineq) for ineq in reduction]))
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import SignFunction, _bit_tables, _pair_codes, is_admissible
+from .fourier import SignFunction, _bit_tables, _pair_codes
 from .polytope import BellInequality, inequality_from_sign_function, vertex_matrix
 
 
@@ -76,10 +76,5 @@ def two_setting_reduction(parties: int) -> list[BellInequality]:
     # bit k of a table is the bit of its code at assignment k's first variables
     first = (_pair_codes(parties) & 1) << np.arange(parties)
     codes = np.arange(1 << (1 << parties))[:, None]
-    out = []
-    for table in _bit_tables(codes >> first.sum(axis=1) & 1):
-        s = SignFunction(parties, table)
-        if not is_admissible(s):
-            raise RuntimeError(f"first-variable function {s.to_text()} is not admissible")
-        out.append(inequality_from_sign_function(s))
-    return out
+    return [inequality_from_sign_function(SignFunction(parties, table))
+            for table in _bit_tables(codes >> first.sum(axis=1) & 1)]

@@ -11,10 +11,10 @@ settings tuple j.  Only K is stored; bounds and certificates apply the sign.
 
 An admissible sign function s induces the inequality |<g, E>| <= 2^(2N),
 where g gathers at each settings tuple the spectrum coefficient of its
-subset; admissibility makes every coefficient it leaves out zero.  Every
-vertex evaluates to exactly +/-2^(2N) against such a g (the reconstruction
-identity), which is what makes the bound classical and the saturating half
-of the vertices span the whole space.
+subset; admissibility makes every coefficient it leaves out zero.  Vertex
+K[v] evaluates to exactly 2^(2N) s(v) against such a g (the reconstruction
+identity K g = 2^(2N) s), which makes the bound classical and the saturating
+half of the vertices span the whole space; sign_function_of inverts the map.
 
 Tightness is certified with exact arithmetic, never floating point.  The
 saturating vertices' rank is first taken modulo a prime p: a minor that is
@@ -35,8 +35,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fourier import (SignFunction, _check_parties, _fwht, _setting_subsets, fourier_transform,
-                      is_admissible, table_size)
+from .fourier import (SignFunction, _bit_tables, _check_parties, _fwht, _setting_subsets,
+                      fourier_transform, is_admissible, table_size)
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +65,6 @@ class BellInequality:
     parties: int
     coeffs: np.ndarray
     bound: int
-    provenance: SignFunction | None = None
 
     def __post_init__(self):
         if self.coeffs.shape != (3,) * self.parties:
@@ -78,7 +77,14 @@ def inequality_from_sign_function(s: SignFunction) -> BellInequality:
         raise ValueError(f"{s.to_text()} has a local-product Fourier component")
     coeffs = fourier_transform(s)[_setting_subsets(s.parties)].reshape((3,) * s.parties)
     coeffs.setflags(write=False)
-    return BellInequality(s.parties, coeffs, table_size(s.parties), provenance=s)
+    return BellInequality(s.parties, coeffs, table_size(s.parties))
+
+
+def sign_function_of(ineq: BellInequality) -> SignFunction | None:
+    """The s with K g = 2^(2N) s, or None if there is none: inverts inequality_from_sign_function."""
+    values = vertex_matrix(ineq.parties) @ ineq.coeffs.ravel()
+    family = (np.abs(values) == table_size(ineq.parties)).all()
+    return SignFunction(ineq.parties, _bit_tables(values < 0)[0]) if family else None
 
 
 class LhvBounds(NamedTuple):

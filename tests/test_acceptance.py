@@ -20,6 +20,7 @@ from bellfacets import (
     lhv_max_by_strategies,
     lift,
     seesaw_maximize,
+    sign_function_of,
     two_setting_reduction,
     vertex_matrix,
 )
@@ -95,7 +96,7 @@ def test_criterion_05_vertex_value_dichotomy(census3):
     for ineq in _inequalities(2, (s.table for s in enumerate_admissible(2))):
         values = set((mat2 @ ineq.coeffs.ravel()).tolist())
         if values != {16, -16}:
-            _verdict(5, False, f"N=2 inequality {ineq.provenance.to_text()} gave {values}")
+            _verdict(5, False, f"N=2 inequality {sign_function_of(ineq).to_text()} gave {values}")
     K3 = vertex_matrix(3)
     mat3 = np.concatenate((K3, -K3))
     classes = census3.canonical_classes
@@ -117,7 +118,7 @@ def test_criterion_06_tightness_certificates(census3):
     for ineq in _inequalities(2, (s.table for s in enumerate_admissible(2))):
         cert = certify_tightness(ineq)
         if not (cert.tight and cert.saturating_count == 16 and cert.rank == 9):
-            _verdict(6, False, f"N=2 {ineq.provenance.to_text()}: {cert}")
+            _verdict(6, False, f"N=2 {sign_function_of(ineq).to_text()}: {cert}")
     findings = []
     for cls in census3.canonical_classes:
         cert = certify_tightness(inequality_from_sign_function(cls.representative))
@@ -138,7 +139,7 @@ def test_criterion_07_lhv_cross_check(census3):
     start = time.perf_counter()
     for ineq in ineqs2:
         if not lhv_max(ineq) == lhv_max_by_strategies(ineq) == (16, -16):
-            _verdict(7, False, f"bound mismatch for {ineq.provenance.to_text()}")
+            _verdict(7, False, f"bound mismatch for {sign_function_of(ineq).to_text()}")
     per_inequality = (time.perf_counter() - start) / len(ineqs2)
     for cls in census3.canonical_classes:
         ineq = inequality_from_sign_function(cls.representative)

@@ -398,6 +398,9 @@ def test_mismatched_coefficients_are_a_finding(command, extra, block, catalog2, 
     pytest.param(lambda e: e.update(tight=False), "certificate_ok", id="tight-false"),
     pytest.param(lambda e: e.update(rank=8), "certificate_ok", id="rank-8"),
     pytest.param(lambda e: e.update(saturating_count=0), "certificate_ok", id="count-0"),
+    # K g = 2^(2N+1) s: every check but the read-off passes, so equal magnitudes do not suffice
+    pytest.param(lambda e: e.update(coeffs=[2 * c for c in e["coeffs"]], bound=2 * e["bound"]),
+                 "coeffs_ok", id="coeffs-and-bound-doubled"),
 ])
 def test_every_reader_checks_every_claim(command, tamper, failed, catalog2, tmp_path, capsys):
     entries = json.loads(catalog2.read_text())
@@ -413,21 +416,56 @@ def test_every_reader_checks_every_claim(command, tamper, failed, catalog2, tmp_
     assert len(json.loads(out.read_text())) == 6
 
 
-@pytest.mark.parametrize("bound, code, names", [
-    (8, EXIT_FINDINGS, "entry 2 "), (0, EXIT_ERROR, "inequality 2 "), (-16, EXIT_ERROR, "inequality 2 "),
-], ids=["bound-8", "bound-0", "bound-negative"])
-def test_violate_checks_the_stored_bound(bound, code, names, catalog2, tmp_path, capsys):
+# a non-positive bound is malformed while reading, for every reader; violate's ids are unprefixed
+@pytest.mark.parametrize("command, bound, code, names", [
+    pytest.param(command, bound, code, names, id=case if command == "violate" else f"{command}-{case}")
+    for command in ("violate", "verify", "lift") for bound, code, names, case in [
+        (8, EXIT_FINDINGS, "entry 2 (", "bound-8"),
+        (0, EXIT_ERROR, "catalog entry 2: bound must be positive, got 0\n", "bound-0"),
+        (-16, EXIT_ERROR, "catalog entry 2: bound must be positive, got -16\n", "bound-negative"),
+    ]
+])
+def test_violate_checks_the_stored_bound(command, bound, code, names, catalog2, tmp_path, capsys,
+                                         monkeypatch):
+    if code == EXIT_ERROR:
+        monkeypatch.setattr(cli, "seesaw_maximize_all", _no_seesaw)
     entries = json.loads(catalog2.read_text())
     entries[2]["bound"] = bound
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(entries))
     out = tmp_path / "out.json"
+    extra = ("--restarts", 1) if command == "violate" else ()
     capsys.readouterr()
-    assert run_cli("violate", "--in", bad, "--out", out, "--restarts", 1) == code
+    assert run_cli(command, "--in", bad, "--out", out, *extra) == code
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("bellfacets violate: "), err
-    assert names in err
+    assert err.count("\n") == 1 and err.startswith(f"bellfacets {command}: {names}"), err
     assert out.exists() == (code == EXIT_FINDINGS)
+
+
+@pytest.mark.parametrize("command", ["verify", "lift", "violate"])
+def test_stored_sign_function_is_compared_as_a_function(command, catalog2, tmp_path, capsys):
+    # any text from_text accepts names the function: upper-case hex passes
+    entries = json.loads(catalog2.read_text())
+    for entry in entries:
+        head, _, digits = entry["sign_function"].rpartition("=")
+        entry["sign_function"] = f"{head}={digits.upper()}"
+    assert any(e["sign_function"] != e["sign_function"].lower() for e in entries)
+    upper = tmp_path / "upper.json"
+    upper.write_text(json.dumps(entries))
+    extra = ("--restarts", 1) if command == "violate" else ()
+    capsys.readouterr()
+    assert run_cli(command, "--in", upper, "--out", tmp_path / "out.json", *extra) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_lift_tests_each_entry_for_admissibility_once(catalog2, tmp_path, monkeypatch):
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bellfacets") and hasattr(module, "is_admissible"):
+            monkeypatch.setattr(module, "is_admissible",
+                                lambda s, test=module.is_admissible: calls.append(s) or test(s))
+    assert run_cli("lift", "--in", catalog2, "--out", tmp_path / "l.json") == EXIT_OK
+    assert len(calls) == len(json.loads(catalog2.read_text())) == 6
 
 
 @pytest.mark.parametrize("command, field, value", [

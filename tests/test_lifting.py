@@ -10,10 +10,11 @@ from bellfacets import (
     inequality_from_sign_function,
     is_factorable,
     lift,
+    sign_function_of,
     two_setting_reduction,
     vertex_matrix,
 )
-from bellfacets import lifting
+from bellfacets import polytope
 
 
 # ── lifted vertices ─────────────────────────────────────────────────────────
@@ -92,7 +93,7 @@ def test_reduction_tables_match_first_variable_loop():
                 first = sum((k >> 2 * i & 1) << i for i in range(parties))
                 table |= (code >> first & 1) << k
             reference.append(table)
-        assert [i.provenance.table for i in two_setting_reduction(parties)] == reference
+        assert [sign_function_of(i).table for i in two_setting_reduction(parties)] == reference
 
 
 def test_reduction_rejects_large_sizes():
@@ -101,8 +102,8 @@ def test_reduction_rejects_large_sizes():
 
 
 def test_reduction_admissibility_check_is_explicit(monkeypatch):
-    monkeypatch.setattr(lifting, "is_admissible", lambda s: False)
-    with pytest.raises(RuntimeError, match="not admissible"):
+    monkeypatch.setattr(polytope, "is_admissible", lambda s: False)
+    with pytest.raises(ValueError, match="local-product Fourier component"):
         two_setting_reduction(2)
 
 
@@ -115,7 +116,7 @@ def test_reduction_support_stays_two_setting():
 def test_reduction_two_observers_is_chsh_or_trivial():
     trivial = 0
     for ineq in two_setting_reduction(2):
-        if is_factorable(ineq.provenance):
+        if is_factorable(sign_function_of(ineq)):
             trivial += 1
         else:
             assert chsh_pattern(ineq)
@@ -138,7 +139,7 @@ def test_reduced_inequalities_are_tight_in_the_full_space():
 
 def test_reduction_canonical_flags_are_consistent():
     reduced = two_setting_reduction(2)
-    reps = {canonicalize(i.provenance).table for i in reduced}
+    reps = {canonicalize(sign_function_of(i)).table for i in reduced}
     # the full census reaches every reduced orbit: constants, one-variable,
     # two-variable characters, and CHSH
     assert len(reps) == 4

@@ -18,6 +18,7 @@ from bellfacets import (
     inequality_from_sign_function,
     lhv_max,
     lhv_max_by_strategies,
+    sign_function_of,
     two_setting_reduction,
     vertex_matrix,
 )
@@ -321,6 +322,7 @@ _WITNESS3 = BellInequality(3, np.array([
 def test_facet_outside_the_family():
     assert lhv_max(_WITNESS3) == lhv_max_by_strategies(_WITNESS3) == (8, -8)
     assert certify_tightness(_WITNESS3) == TightnessCertificate(True, 40, 27)
+    assert sign_function_of(_WITNESS3) is None  # |K g| takes the values 0 and 8
 
 
 def _raw_certificate(ineq):
@@ -372,6 +374,11 @@ def test_bound_routes_and_certificate_agree_off_the_family(ineq):
 
 
 @cache
+def _admissible_tables2():
+    return sorted(s.table for s in enumerate_admissible(2))
+
+
+@cache
 def _admissible_tables3():
     return sorted(s.table for s in enumerate_admissible(3))
 
@@ -393,6 +400,42 @@ def test_certificate_and_bounds_are_symmetry_invariant(index, g):
     image = inequality_from_sign_function(g.apply(s))
     assert certify_tightness(image) == certify_tightness(ineq)
     assert lhv_max(image) == lhv_max(ineq)
+
+
+# ── the sign function read off the coefficients ─────────────────────────────
+
+
+@st.composite
+def _admissible_functions(draw):
+    """An admissible sign function: N=2 and N=3 from the enumeration, N=4 by
+    the section rule."""
+    parties = draw(st.sampled_from((2, 3, 4)))
+    if parties == 4:
+        return _section_rule_tables4(seed=draw(st.integers(0, 2**32 - 1)), count=1)[0]
+    tables = _admissible_tables3() if parties == 3 else _admissible_tables2()
+    return SignFunction(parties, draw(st.sampled_from(tables)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=_admissible_functions())
+def test_read_off_inverts_the_induced_map(s):
+    assert sign_function_of(inequality_from_sign_function(s)) == s
+
+
+@settings(max_examples=40, deadline=None)
+@given(ineq=_tensors_with_attained_bound(), scale=st.integers(-2, 2), index=st.integers(0, 51677))
+def test_read_off_is_none_off_the_family(ineq, scale, index):
+    # a member's squared norm is 4^(2N) (Parseval); entries within +/-4 fall short
+    assert sign_function_of(ineq) is None
+    tables = _admissible_tables3() if ineq.parties == 3 else _admissible_tables2()
+    member = inequality_from_sign_function(SignFunction(ineq.parties, tables[index % len(tables)]))
+    # scaled by -1 a member stays in the family, by 0 or +/-2 it leaves
+    for coeffs in (scale * member.coeffs, member.coeffs + ineq.coeffs):
+        s = sign_function_of(BellInequality(ineq.parties, coeffs, ineq.bound))
+        values = vertex_matrix(ineq.parties) @ coeffs.ravel()
+        assert (s is None) == bool((np.abs(values) != 4 ** ineq.parties).any())
+        if s is not None:
+            assert np.array_equal(inequality_from_sign_function(s).coeffs, coeffs)
 
 
 # ── exact rank ──────────────────────────────────────────────────────────────

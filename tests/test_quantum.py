@@ -17,6 +17,7 @@ from bellfacets import (
     evaluate_state,
     inequality_from_sign_function,
     seesaw_maximize,
+    sign_function_of,
 )
 from relabel import SymmetryElement
 
@@ -178,7 +179,7 @@ def test_seesaw_requires_a_restart():
 @pytest.mark.parametrize("bound", [0, -16])
 def test_seesaw_rejects_a_non_positive_bound_before_iterating(chsh_inequality, bound, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", None)  # any iteration would fail on this instead
-    bad = BellInequality(2, chsh_inequality.coeffs, bound, chsh_inequality.provenance)
+    bad = BellInequality(2, chsh_inequality.coeffs, bound)
     with pytest.raises(ValueError, match=f"inequality 1 has non-positive bound {bound}"):
         quantum.seesaw_maximize_all([chsh_inequality, bad])
 
@@ -456,7 +457,7 @@ def test_batch_equals_per_entry_calls_bit_for_bit(census3):
     batch = quantum.seesaw_maximize_all(ineqs, restarts=2, seed=5)
     assert len(batch) == 76
     for ineq, report in zip(ineqs, batch):
-        assert _same_report(report, seesaw_maximize(ineq, restarts=2, seed=5)), ineq.provenance.to_text()
+        assert _same_report(report, seesaw_maximize(ineq, restarts=2, seed=5)), sign_function_of(ineq).to_text()
 
 
 def test_batch_matches_reference_loop(census2):

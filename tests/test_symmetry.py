@@ -12,6 +12,7 @@ from bellfacets import (
     enumerate_admissible,
     fourier_transform,
     is_admissible,
+    sign_function_of,
     table_size,
     two_setting_reduction,
 )
@@ -168,7 +169,7 @@ def test_orbit_least_on_a_set_not_closed_under_the_group(monkeypatch):
     # the 256 two-setting tables hold only part of the orbits they meet; a
     # few images of them add further members of those orbits
     rng = np.random.default_rng(83)
-    reduced = [ineq.provenance for ineq in two_setting_reduction(3)]
+    reduced = [sign_function_of(ineq) for ineq in two_setting_reduction(3)]
     group3 = symmetry_group(3)
     images = [group3[int(i)].apply(reduced[int(k)])
               for i, k in zip(rng.integers(0, len(group3), size=8), rng.integers(0, 256, size=8))]
