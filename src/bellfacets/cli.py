@@ -9,18 +9,18 @@ violate    append see-saw quantum reports to a catalog
 reduce     write the catalog of two-setting (first-variable) inequalities
 lift       append lifted (marginal + correlation) blocks to a catalog
 
-verify, lift and violate check every entry they read by one rule: its
-sign function is the one read off its coefficients, its bound is the
-brute-force LHV maximum, and its stored certificate is the recomputed one,
-tight.  verify writes these verdicts; each of the three writes its output,
-then prints one line per failing entry naming the failed checks.
+Every catalog entry a command writes (enumerate, reduce) or reads (verify,
+lift, violate) is checked by one rule: its sign function is the one read
+off its coefficients, its bound is the brute-force LHV maximum, and its
+stored certificate is the recomputed one, tight.  verify writes these
+verdicts; each command writes its output, then prints one line per failing
+entry naming the failed checks.
 
-Exit status: 0 when all checks pass, 2 when a finding is recorded (an entry
-that fails that rule, or an enumerate or reduce entry that is not tight or
-whose bound is not the brute-force value), and 1 for usage or I/O errors
-and malformed catalog entries (a non-positive bound or a sign function
-outside the admissible family among them).  Output bytes are fully
-determined by the flags; re-running a command reproduces its files exactly.
+Exit status: 0 when all checks pass, 2 when an entry fails that rule, and 1
+for usage or I/O errors and malformed catalog entries (a non-positive bound
+or a sign function outside the admissible family among them).  Output bytes
+are fully determined by the flags; re-running a command reproduces its
+files exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .fourier import SignFunction
 from .lifting import lift, two_setting_reduction
 from .polytope import (
     BellInequality,
-    LhvBounds,
     TightnessCertificate,
     certify_tightness,
     inequality_from_sign_function,
@@ -92,30 +91,24 @@ def _read_entries(read: Callable[[dict], Any], entries: list[dict]) -> list:
     return out
 
 
-def _certify(ineq: BellInequality) -> tuple[LhvBounds, TightnessCertificate, bool]:
-    """The LHV extremes, the tightness certificate and whether the inequality
-    is certified: tight, with LHV maximum and minimum +/- its bound."""
-    bounds, cert = lhv_max(ineq), certify_tightness(ineq)
-    return bounds, cert, cert.tight and bounds == (ineq.bound, -ineq.bound)
-
-
 def _verdict(entry: dict, ineq: BellInequality, stored: TightnessCertificate) -> dict[str, Any]:
-    """Every claim of one entry re-checked, as the row verify writes: its
-    sign function is the one read off its coefficients, its bound is the LHV
-    maximum, and its stored certificate is the recomputed one, tight."""
-    bounds, cert, certified = _certify(ineq)
-    induced = sign_function_of(ineq) == SignFunction.from_text(entry["sign_function"])
+    """The row verify writes for one entry: its sign function, as canonical
+    text, is the one read off its coefficients, its bound is the LHV maximum,
+    and its stored certificate is the recomputed one, tight."""
+    bounds, cert = lhv_max(ineq), certify_tightness(ineq)
+    claimed = SignFunction.from_text(entry["sign_function"])
+    induced, bound_ok = sign_function_of(ineq) == claimed, bounds == (ineq.bound, -ineq.bound)
     return {
-        "sign_function": entry["sign_function"],
+        "sign_function": claimed.to_text(),
         "coeffs_ok": induced,
         "lhv_max": bounds.maximum,
         "lhv_min": bounds.minimum,
-        "bound_ok": bounds == (ineq.bound, -ineq.bound),
+        "bound_ok": bound_ok,
         "tight": cert.tight,
         "saturating_count": cert.saturating_count,
         "rank": cert.rank,
         "certificate_ok": cert == stored,
-        "pass": induced and certified and cert == stored,
+        "pass": induced and bound_ok and cert.tight and cert == stored,
     }
 
 
@@ -143,14 +136,11 @@ def _findings(command: str, verdicts: list[dict]) -> int:
 
 def _write_certified(args: argparse.Namespace, inequalities: list[BellInequality],
                      canonical: list[bool]) -> int:
-    """Write the catalog of certified entries; a finding unless all are certified."""
-    entries, certified = [], True
-    for ineq, flag in zip(inequalities, canonical):
-        _, cert, ok = _certify(ineq)
-        entries.append(cat.inequality_entry(ineq, cert, canonical=flag))
-        certified = certified and ok
+    """Write the catalog, then judge each written entry by _verdict, as verify would."""
+    certs = [certify_tightness(ineq) for ineq in inequalities]
+    entries = [cat.inequality_entry(*row) for row in zip(inequalities, certs, canonical)]
     cat.write_catalog(args.output_path, entries, args.format)
-    return EXIT_OK if certified else EXIT_FINDINGS
+    return _findings(args.command, [_verdict(*row) for row in zip(entries, inequalities, certs)])
 
 
 def _canonical_flags(functions: list[SignFunction]) -> list[bool]:

@@ -12,10 +12,10 @@ The maximum over directions and states is lower-bounded by alternating
 The direction step visits the observers in turn; no term holds two settings
 of one observer, so one contraction of g, C and the other observers'
 directions scores all its settings at once, and each takes its normalized
-score.  Both steps are monotone; a decrease beyond rounding raises
-RuntimeError.  The (inequality, restart) rows of one observer count advance
-in lockstep, up to _ROW_BLOCK at a time: one stacked eigh per iteration and
-batched contractions, none of which mixes rows.
+score.  Both steps are monotone; a decrease beyond rounding (the larger of
+1e-8 and 1e-13 sum |g|) raises RuntimeError.  The (inequality, restart) rows
+of one observer count advance in lockstep, up to _ROW_BLOCK at a time: one
+stacked eigh per iteration and batched contractions, none of which mixes rows.
 
 Stop rule: a restart ends, converged, after the first iteration (a state
 step, then every observer's direction step) that raises the objective by
@@ -215,6 +215,7 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
     coeffs = np.stack([ineq.coeffs for ineq in ineqs]).astype(np.float64)
     scales = np.array([float(ineq.bound) for ineq in ineqs])
     caps = np.array([float(algebraic_maximum(ineq)) for ineq in ineqs])
+    slacks = np.maximum(_MONOTONE_SLACK, 1e-13 * caps)  # rounding grows with the terms
     used = np.full(len(ineqs), restarts)  # lowered to r + 1 once restart r reaches the cap
     runs = [[None] * restarts for _ in ineqs]  # runs[e][r]: (value, converged, trace, dirs, state)
     queue = ((e, r) for e in range(len(ineqs)) for r in range(restarts))
@@ -229,13 +230,13 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
             dirs, prev = np.concatenate((dirs, starts[new_restart])), np.append(prev, [-np.inf] * len(admit))
             last_gain = np.append(last_gain, [np.nan] * len(admit))
             traces += [[] for _ in admit]
-            g, tol = coeffs[owner], _IMPROVEMENT_THRESHOLD * scales[owner]
+            g, tol, slack = coeffs[owner], _IMPROVEMENT_THRESHOLD * scales[owner], slacks[owner]
         if not traces:
             break
 
         eigvals, eigvecs = np.linalg.eigh(_operators(g, dirs))
         value = eigvals[:, -1]
-        if (low := value < prev - _MONOTONE_SLACK).any():
+        if (low := value < prev - slack).any():
             was, now = (float(x[np.argmax(low)]) for x in (prev, value))
             raise RuntimeError(f"state step decreased the objective from {was!r} to {now!r}")
         state = eigvecs[:, :, -1]
@@ -246,8 +247,8 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
             norms = np.sqrt(np.add.reduce(score * score, 2, keepdims=True))
             live = norms >= _DEGENERATE_NORM  # a null coefficient slice keeps its direction
             gains = (norms - np.add.reduce(party_dirs * score, 2, keepdims=True)) * live
-            if gains.min() < -_MONOTONE_SLACK:
-                raise RuntimeError(f"direction step decreased the objective by {float(-gains.min())!r}")
+            if (low := gains < -slack[:, None, None]).any():
+                raise RuntimeError(f"direction step decreased the objective by {float(-gains[low].min())!r}")
             stepped = stepped + np.add.reduce(gains, (1, 2))
             np.divide(score, norms, out=party_dirs, where=live)
 
@@ -277,8 +278,8 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
         last_gain = gain
         if finished.any():
             keep = ~finished & (restart < used[owner])
-            owner, restart, count, dirs, prev, last_gain, g, tol = (
-                x[keep] for x in (owner, restart, count, dirs, prev, last_gain, g, tol))
+            owner, restart, count, dirs, prev, last_gain, g, tol, slack = (
+                x[keep] for x in (owner, restart, count, dirs, prev, last_gain, g, tol, slack))
             traces = [trace for trace, k in zip(traces, keep.tolist()) if k]
 
     reports = []

@@ -10,6 +10,7 @@ import bellfacets
 from bellfacets import (
     LhvBounds,
     SignFunction,
+    TightnessCertificate,
     canonicalize,
     certify_tightness,
     enumerate_admissible,
@@ -186,7 +187,7 @@ def test_reduce_two_observers(tmp_path):
 
 @pytest.mark.parametrize("command", ["enumerate", "reduce", "verify"])
 @pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
-def test_lhv_bound_off_by_one_is_a_finding(command, shift, catalog2, tmp_path, monkeypatch):
+def test_lhv_bound_off_by_one_is_a_finding(command, shift, catalog2, tmp_path, monkeypatch, capsys):
     exact = cli.lhv_max
     monkeypatch.setattr(
         cli, "lhv_max",
@@ -194,8 +195,24 @@ def test_lhv_bound_off_by_one_is_a_finding(command, shift, catalog2, tmp_path, m
     )
     out = tmp_path / "out.json"
     source = ("--in", catalog2) if command == "verify" else ("--parties", 2)
+    capsys.readouterr()
     assert run_cli(command, *source, "--out", out) == EXIT_FINDINGS
-    assert len(json.loads(out.read_text())) == {"enumerate": 6, "reduce": 16, "verify": 6}[command]
+    written = json.loads(out.read_text())
+    assert len(written) == {"enumerate": 6, "reduce": 16, "verify": 6}[command]
+    assert capsys.readouterr().err.splitlines() == [
+        f"bellfacets {command}: entry {k} ({e['sign_function']}) fails bound_ok" for k, e in enumerate(written)]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "reduce"])
+def test_written_entry_that_is_not_tight_is_a_finding(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "certify_tightness", lambda ineq: TightnessCertificate(False, 0, 0))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run_cli(command, "--parties", 2, "--out", out) == EXIT_FINDINGS
+    written = json.loads(out.read_text())
+    assert written and not any(e["tight"] for e in written)
+    assert capsys.readouterr().err.splitlines() == [
+        f"bellfacets {command}: entry {k} ({e['sign_function']}) fails tight" for k, e in enumerate(written)]
 
 
 def test_canonical_flags_match_canonicalize(census3):
@@ -390,6 +407,11 @@ def test_mismatched_coefficients_are_a_finding(command, extra, block, catalog2, 
     assert len(written) == 6 and all(block in e for e in written)
 
 
+def _upper_hex(text):
+    head, _, digits = text.rpartition("=")
+    return f"{head}={digits.upper()}"
+
+
 @pytest.mark.parametrize("command", ["verify", "lift", "violate"])
 @pytest.mark.parametrize("tamper, failed", [
     pytest.param(lambda e: e["coeffs"].__setitem__(0, e["coeffs"][0] + 8),
@@ -401,9 +423,16 @@ def test_mismatched_coefficients_are_a_finding(command, extra, block, catalog2, 
     # K g = 2^(2N+1) s: every check but the read-off passes, so equal magnitudes do not suffice
     pytest.param(lambda e: e.update(coeffs=[2 * c for c in e["coeffs"]], bound=2 * e["bound"]),
                  "coeffs_ok", id="coeffs-and-bound-doubled"),
+    # text from_text accepts but to_text would not write: the line and the row name the canonical text
+    pytest.param(lambda e: e.update(sign_function=f" {e['sign_function']}\n", bound=8),
+                 "bound_ok, tight, certificate_ok", id="padded-text-bound-8"),
+    pytest.param(lambda e: e.update(sign_function=_upper_hex(e["sign_function"]), bound=8),
+                 "bound_ok, tight, certificate_ok", id="upper-case-text-bound-8"),
 ])
 def test_every_reader_checks_every_claim(command, tamper, failed, catalog2, tmp_path, capsys):
     entries = json.loads(catalog2.read_text())
+    name = entries[2]["sign_function"]
+    assert name == "N=2;table=ff00"
     tamper(entries[2])
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(entries))
@@ -411,9 +440,11 @@ def test_every_reader_checks_every_claim(command, tamper, failed, catalog2, tmp_
     extra = ("--restarts", 1) if command == "violate" else ()
     capsys.readouterr()
     assert run_cli(command, "--in", bad, "--out", out, *extra) == EXIT_FINDINGS
-    assert capsys.readouterr().err == (f"bellfacets {command}: entry 2 ({entries[2]['sign_function']}) "
-                                       f"fails {failed}\n")
-    assert len(json.loads(out.read_text())) == 6
+    assert capsys.readouterr().err == f"bellfacets {command}: entry 2 ({name}) fails {failed}\n"
+    written = json.loads(out.read_text())
+    assert len(written) == 6
+    if command == "verify":
+        assert written[2]["sign_function"] == name
 
 
 # a non-positive bound is malformed while reading, for every reader; violate's ids are unprefixed
@@ -444,18 +475,41 @@ def test_violate_checks_the_stored_bound(command, bound, code, names, catalog2, 
 
 @pytest.mark.parametrize("command", ["verify", "lift", "violate"])
 def test_stored_sign_function_is_compared_as_a_function(command, catalog2, tmp_path, capsys):
-    # any text from_text accepts names the function: upper-case hex passes
+    # any text from_text accepts names the function: upper-case hex passes, and verify's rows name
+    # each function by its canonical text
     entries = json.loads(catalog2.read_text())
+    names = [entry["sign_function"] for entry in entries]
     for entry in entries:
-        head, _, digits = entry["sign_function"].rpartition("=")
-        entry["sign_function"] = f"{head}={digits.upper()}"
+        entry["sign_function"] = _upper_hex(entry["sign_function"])
     assert any(e["sign_function"] != e["sign_function"].lower() for e in entries)
     upper = tmp_path / "upper.json"
     upper.write_text(json.dumps(entries))
+    out = tmp_path / "out.json"
     extra = ("--restarts", 1) if command == "violate" else ()
     capsys.readouterr()
-    assert run_cli(command, "--in", upper, "--out", tmp_path / "out.json", *extra) == EXIT_OK
+    assert run_cli(command, "--in", upper, "--out", out, *extra) == EXIT_OK
     assert capsys.readouterr().err == ""
+    if command == "verify":
+        assert [row["sign_function"] for row in json.loads(out.read_text())] == names
+
+
+# every coefficient at the validation limit: the see-saw's rounding grows with the terms
+@pytest.mark.parametrize("command, extra", [
+    pytest.param("verify", (), id="verify"), pytest.param("lift", (), id="lift"),
+    pytest.param("violate", ("--restarts", 1), id="violate-restarts-1"),
+    pytest.param("violate", ("--restarts", 32), id="violate-restarts-32"),
+])
+def test_limit_size_coefficients_are_a_finding(command, extra, catalog2, tmp_path, capsys):
+    entries = json.loads(catalog2.read_text())
+    entries[2]["coeffs"] = [(2**63 - 1) // 9] * 9
+    bad = tmp_path / "limit.json"
+    bad.write_text(json.dumps(entries))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", out, *extra) == EXIT_FINDINGS
+    assert capsys.readouterr().err == (f"bellfacets {command}: entry 2 (N=2;table=ff00) "
+                                       "fails coeffs_ok, bound_ok, tight, certificate_ok\n")
+    assert len(json.loads(out.read_text())) == 6
 
 
 def test_lift_tests_each_entry_for_admissibility_once(catalog2, tmp_path, monkeypatch):
