@@ -3,11 +3,11 @@
 Each deterministic strategy lands on a vertex x * (1,u,w) (x) (1,u',w') of
 the correlation polytope.  Against a generated inequality every vertex
 scores exactly +bound or -bound; the saturating half spans the full
-9-dimensional space, which is precisely the facet property.  The rank is
-proven full modulo a prime (a minor nonzero mod p is a nonzero integer);
-only a rank-deficient set, like the sum of two facets below, is ranked by
-fraction-free (Bareiss) elimination over the integers.  The certificate
-involves no floating point at all.
+9-dimensional space, which is precisely the facet property.  One
+fraction-free (Bareiss) elimination takes the rank, first modulo a prime: a
+full rank there is proven (a minor nonzero mod p is a nonzero integer).  Only
+a rank-deficient set, like the sum of two facets below, is eliminated again
+over the integers.  The certificate involves no floating point at all.
 """
 
 import numpy as np

@@ -14,13 +14,14 @@ lift, violate) is checked by one rule: its sign function is the one read
 off its coefficients, its bound is the brute-force LHV maximum, and its
 stored certificate is the recomputed one, tight.  verify writes these
 verdicts; each command writes its output, then prints one line per failing
-entry naming the failed checks.
+entry naming the failed checks.  Every output names each sign function by
+its canonical text.
 
 Exit status: 0 when all checks pass, 2 when an entry fails that rule, and 1
 for usage or I/O errors and malformed catalog entries (a non-positive bound
-or a sign function outside the admissible family among them).  Output bytes
-are fully determined by the flags; re-running a command reproduces its
-files exactly.
+or a sign function outside the admissible family among them; the first
+malformed entry is reported).  Output bytes are fully determined by the
+flags; re-running a command reproduces its files exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -79,18 +80,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_entries(read: Callable[[dict], Any], entries: list[dict]) -> list:
-    """read(entry) for every entry; a malformed one raises a ValueError that
-    names the entry's index."""
-    out = []
-    for index, entry in enumerate(entries):
-        try:
-            out.append(read(entry))
-        except ValueError as exc:
-            raise ValueError(f"catalog entry {index}: {exc}") from None
-    return out
-
-
 def _verdict(entry: dict, ineq: BellInequality, stored: TightnessCertificate) -> dict[str, Any]:
     """The row verify writes for one entry: its sign function, as canonical
     text, is the one read off its coefficients, its bound is the LHV maximum,
@@ -113,15 +102,24 @@ def _verdict(entry: dict, ineq: BellInequality, stored: TightnessCertificate) ->
 
 
 def _read_catalog(args: argparse.Namespace) -> tuple[list[dict], list[BellInequality], list[dict]]:
-    """The entries of the --in catalog, their inequalities and their verdicts,
-    every entry validated before any is checked: a file that is not a JSON
-    list of objects, or a malformed entry, raises ValueError."""
+    """The entries of the --in catalog, each naming its sign function by its
+    canonical text, their inequalities and their verdicts.  Every entry is
+    validated before any is checked: a file that is not a JSON list of
+    objects, or a malformed entry, raises ValueError naming the first."""
     entries = cat.read_json(args.input_path)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"{args.input_path} is not a catalog: expected a JSON list of objects")
-    inequalities = _read_entries(cat.entry_inequality, entries)
-    stored = _read_entries(cat.entry_certificate, entries)
-    return entries, inequalities, [_verdict(*row) for row in zip(entries, inequalities, stored)]
+    inequalities, stored = [], []
+    for index, entry in enumerate(entries):
+        try:
+            inequalities.append(cat.entry_inequality(entry))
+            stored.append(cat.entry_certificate(entry))
+        except ValueError as exc:
+            raise ValueError(f"catalog entry {index}: {exc}") from None
+    verdicts = [_verdict(*row) for row in zip(entries, inequalities, stored)]
+    for entry, verdict in zip(entries, verdicts):
+        entry["sign_function"] = verdict["sign_function"]
+    return entries, inequalities, verdicts
 
 
 def _findings(command: str, verdicts: list[dict]) -> int:

@@ -7,7 +7,10 @@ participate: the normalization constant, every single observer's average, and
 every correlation of two or more observers.  A three-setting facet therefore
 doubles as an inequality on marginals plus two-setting correlations (a
 CH-type constraint); its sharp bounds over the 2^(2N) lifted vertices are
-found by brute force and may be strictly inside the original +/-2^(2N).
+found by brute force.  For a family member they are the original
+(-2^(2N), 2^(2N)), since K[v] scores 2^(2N) s(v) (the reconstruction
+identity), except that a constant s gives (c, c) with c = +/-2^(2N); only
+coefficients outside the family can tighten a side.
 
 Separately, the admissible functions that depend only on each observer's
 first variable reproduce the complete two-setting family: there are exactly

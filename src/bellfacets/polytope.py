@@ -16,15 +16,16 @@ K[v] evaluates to exactly 2^(2N) s(v) against such a g (the reconstruction
 identity K g = 2^(2N) s), which makes the bound classical and the saturating
 half of the vertices span the whole space; sign_function_of inverts the map.
 
-Tightness is certified with exact arithmetic, never floating point.  The
-saturating vertices' rank is first taken modulo a prime p: a minor that is
-nonzero mod p is a nonzero integer, so the rank mod p never exceeds the rank
-over the rationals, and when it reaches min(rows, cols) that is the rank.
-Only a rank-deficient set falls back to fraction-free (Bareiss) elimination
-over the integers.  A vertex and its negation span one line, so the rank is
-that of the rows K[v] of the saturating assignment set, memoised per set.
-Every admissible inequality saturates one vertex of each assignment (the
-reconstruction identity), so one elimination per observer count serves all.
+Tightness is certified with exact arithmetic, never floating point: one
+fraction-free (Bareiss) elimination ranks the saturating vertices, first
+modulo a prime p.  A minor that is nonzero mod p is a nonzero integer, so the
+rank mod p never exceeds the rank over the rationals, and when it reaches
+min(rows, cols) that is the rank.  Only a rank-deficient set is eliminated
+again over the integers.  A vertex and its negation span one line, so the
+rank is that of the rows K[v] of the saturating assignment set, memoised per
+set.  Every admissible inequality saturates one vertex of each assignment
+(the reconstruction identity), so one elimination per observer count serves
+all.
 """
 
 from __future__ import annotations
@@ -120,73 +121,49 @@ def lhv_max_by_strategies(ineq: BellInequality) -> LhvBounds:
     return LhvBounds(int(values.max()), int(values.min()))
 
 
-# The largest prime below 2^31: residues multiply without overflow in int64.
+# The largest prime below 2^31: products of residues stay below 2^62 in int64.
 _WITNESS_PRIME = 2147483629
 
 
 def fraction_free_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer matrix rank.
+    """Exact integer matrix rank by one fraction-free elimination, first
+    modulo a prime p, then over the integers only if needed.
 
-    The rank modulo a prime p is a lower bound on the rank over the
-    rationals (a minor nonzero mod p is a nonzero integer), and no rank
-    exceeds min(rows, cols); so when the rank mod p reaches that, it is the
-    rank.  Otherwise fraction-free (Bareiss) elimination decides.
+    The rank modulo p is a lower bound on the rank over the rationals (a
+    minor nonzero mod p is a nonzero integer), and no rank exceeds
+    min(rows, cols); so when the rank mod p reaches that, it is the rank.
     """
     mat = [[int(x) for x in row] for row in rows]
-    if mat:
-        full = min(len(mat), len(mat[0]))
-        if _rank_mod_prime(mat) == full:
-            return full
-    return _bareiss_rank(mat)
+    res = np.array([[x % _WITNESS_PRIME for x in row] for row in mat], dtype=np.int64)
+    if not res.size:
+        return 0
+    rank = _eliminate(res, _WITNESS_PRIME)
+    return rank if rank == min(res.shape) else _eliminate(np.array(mat, dtype=object))
 
 
-def _rank_mod_prime(mat: list[list[int]]) -> int:
-    """Rank over GF(p) by row reduction on int64 residues below p."""
-    p = _WITNESS_PRIME
-    res = np.array([[x % p for x in row] for row in mat], dtype=np.int64)
-    rank = 0
+def _eliminate(res: np.ndarray, p: int | None = None) -> int:
+    """Rank of res, which is overwritten, by fraction-free (Bareiss)
+    elimination: each step swaps a nonzero pivot up and sets every row below
+    it to pivot * row - row[col] * (pivot row).  With p given the rows are
+    int64 residues below p, reduced mod p; with p None they are Python ints,
+    divided exactly by the previous pivot."""
+    rank, prev_pivot = 0, 1
     for col in range(res.shape[1]):
         nonzero = np.flatnonzero(res[rank:, col])
         if not nonzero.size:
             continue
         pivot_row = rank + int(nonzero[0])
         res[[rank, pivot_row]] = res[[pivot_row, rank]]
-        top = res[rank, col:] * pow(int(res[rank, col]), -1, p) % p
-        below = res[rank + 1:, col:]
-        below -= below[:, :1] * top  # products stay below p^2 < 2^62
-        below %= p
-        rank += 1
-    return rank
-
-
-def _bareiss_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer matrix rank by fraction-free (Bareiss) elimination."""
-    mat = [[int(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    prev_pivot = 1
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows) if mat[r][col]), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        for r in range(rank + 1, n_rows):
-            factor = mat[r][col]
-            row = mat[r]
-            top = mat[rank]
-            for c in range(col, n_cols):
-                value = pivot * row[c] - factor * top[c]
-                q, rem = divmod(value, prev_pivot)
-                if rem:
-                    raise RuntimeError("fraction-free update must divide exactly")
-                row[c] = q
+        pivot, top, below = res[rank, col], res[rank, col:], res[rank + 1:, col:]
+        below[:] = pivot * below - below[:, :1] * top
+        if p is not None:
+            below %= p
+        elif (below % prev_pivot).any():
+            raise RuntimeError("fraction-free update must divide exactly")
+        else:
+            below //= prev_pivot
         prev_pivot = pivot
         rank += 1
-        if rank == min(n_rows, n_cols):
-            break
     return rank
 
 

@@ -344,6 +344,21 @@ def test_malformed_entry_error_names_its_index(command, catalog2, tmp_path, caps
     assert capsys.readouterr().err.startswith(f"bellfacets {command}: catalog entry 4: coeffs must be ")
 
 
+@pytest.mark.parametrize("command", ["verify", "violate", "lift"])
+def test_first_malformed_entry_is_reported(command, catalog2, tmp_path, capsys):
+    # each entry is read whole, inequality then certificate, before the next
+    entries = json.loads(catalog2.read_text())
+    entries[1]["tight"] = "yes"
+    entries[3]["coeffs"] = entries[3]["coeffs"][:8]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"bellfacets {command}: catalog entry 1: tight must be true or false, got 'yes'\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 _ABSENT = object()
 
 
@@ -423,7 +438,7 @@ def _upper_hex(text):
     # K g = 2^(2N+1) s: every check but the read-off passes, so equal magnitudes do not suffice
     pytest.param(lambda e: e.update(coeffs=[2 * c for c in e["coeffs"]], bound=2 * e["bound"]),
                  "coeffs_ok", id="coeffs-and-bound-doubled"),
-    # text from_text accepts but to_text would not write: the line and the row name the canonical text
+    # text from_text accepts but to_text would not write: the line and the output name the canonical text
     pytest.param(lambda e: e.update(sign_function=f" {e['sign_function']}\n", bound=8),
                  "bound_ok, tight, certificate_ok", id="padded-text-bound-8"),
     pytest.param(lambda e: e.update(sign_function=_upper_hex(e["sign_function"]), bound=8),
@@ -443,8 +458,7 @@ def test_every_reader_checks_every_claim(command, tamper, failed, catalog2, tmp_
     assert capsys.readouterr().err == f"bellfacets {command}: entry 2 ({name}) fails {failed}\n"
     written = json.loads(out.read_text())
     assert len(written) == 6
-    if command == "verify":
-        assert written[2]["sign_function"] == name
+    assert written[2]["sign_function"] == name
 
 
 # a non-positive bound is malformed while reading, for every reader; violate's ids are unprefixed
@@ -475,8 +489,8 @@ def test_violate_checks_the_stored_bound(command, bound, code, names, catalog2, 
 
 @pytest.mark.parametrize("command", ["verify", "lift", "violate"])
 def test_stored_sign_function_is_compared_as_a_function(command, catalog2, tmp_path, capsys):
-    # any text from_text accepts names the function: upper-case hex passes, and verify's rows name
-    # each function by its canonical text
+    # any text from_text accepts names the function: upper-case hex passes, and every output
+    # names each function by its canonical text
     entries = json.loads(catalog2.read_text())
     names = [entry["sign_function"] for entry in entries]
     for entry in entries:
@@ -489,8 +503,7 @@ def test_stored_sign_function_is_compared_as_a_function(command, catalog2, tmp_p
     capsys.readouterr()
     assert run_cli(command, "--in", upper, "--out", out, *extra) == EXIT_OK
     assert capsys.readouterr().err == ""
-    if command == "verify":
-        assert [row["sign_function"] for row in json.loads(out.read_text())] == names
+    assert [row["sign_function"] for row in json.loads(out.read_text())] == names
 
 
 # every coefficient at the validation limit: the see-saw's rounding grows with the terms

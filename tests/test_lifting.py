@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,15 @@ def test_lift_bounds_attained_for_all_canonical_classes(census2):
         values = vertex_matrix(2) @ ineq.coeffs.ravel()
         assert lifted.bounds == (int(values.min()), int(values.max()))
         assert -16 <= lifted.bounds[0] <= lifted.bounds[1] <= 16
+
+
+def test_family_members_lift_to_the_original_bounds(census2, census3):
+    # K[v] g = 2^(2N) s(v): the lifted bounds are +/-2^(2N), or (c, c) for a constant s
+    for census in (census2, census3):
+        bounds = Counter(lift(inequality_from_sign_function(c.representative)).bounds
+                         for c in census.canonical_classes)
+        top = 4 ** census.parties
+        assert bounds == {(-top, top): len(census.canonical_classes) - 1, (top, top): 1}
 
 
 # ── two-setting reduction ───────────────────────────────────────────────────

@@ -22,7 +22,7 @@ from bellfacets import (
     two_setting_reduction,
     vertex_matrix,
 )
-from bellfacets.polytope import _WITNESS_PRIME, _bareiss_rank, _strategy_matrix
+from bellfacets.polytope import _WITNESS_PRIME, _strategy_matrix
 from relabel import SymmetryElement
 
 
@@ -441,12 +441,31 @@ def test_read_off_is_none_off_the_family(ineq, scale, index):
 # ── exact rank ──────────────────────────────────────────────────────────────
 
 
+def _rational_rank(rows):
+    """Reference rank: Gaussian elimination over the rationals (Fraction)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col]:
+                factor = mat[r][col] / mat[rank][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
 def test_rank_known_cases():
     assert fraction_free_rank([]) == 0
     assert fraction_free_rank([[0, 0], [0, 0]]) == 0
     assert fraction_free_rank([[1, 2], [2, 4]]) == 1
     assert fraction_free_rank([[1, 2], [3, 4]]) == 2
     assert fraction_free_rank([[2, 0, 1], [0, 3, 1]]) == 2
+    with pytest.raises(ValueError):
+        fraction_free_rank([[1, 2], [3]])
 
 
 def test_rank_matches_floating_oracle_on_random_small_matrices():
@@ -467,7 +486,37 @@ def test_rank_matches_floating_oracle_on_random_small_matrices():
 )
 def test_rank_when_p_divides_a_minor(rows):
     # rank 1 modulo p, so the witness falls short and elimination over Q decides
-    assert fraction_free_rank(rows) == _bareiss_rank(rows) == 2
+    assert fraction_free_rank(rows) == _rational_rank(rows) == 2
+
+
+_P = _WITNESS_PRIME
+
+
+@pytest.mark.parametrize("rows, rank", [
+    pytest.param([[_P - 1, _P - 2], [_P - 3, _P - 1]], 2, id="determinant-3p-5"),
+    pytest.param([[_P - 1] * 3] * 3, 1, id="p-1-everywhere"),
+    pytest.param([[_P - 1, _P - 2, 1], [_P - 3, _P - 1, 2], [_P - 2, _P - 1, _P - 1]], 3,
+                 id="residues-near-p"),
+])
+def test_rank_of_residues_just_below_p(rows, rank):
+    # residue products reach (p-1)^2, just below 2^62: int64 must not overflow
+    assert fraction_free_rank(rows) == _rational_rank(rows) == rank
+
+
+N4_SEESAW = (
+    "N=4;table=33cc330055ff553355cc0c0c55ff0c3faaccf3c0aafff3f3ccccccccaaffaaff",
+    "N=4;table=35ac35accccccccc35ac35accccccccc3a5c3a5c33aa33aa3a5c3a5c33aa33aa",
+)
+
+
+def test_rank_deficient_certificate_at_n4():
+    # the sum of two N=4 facets saturates 142 assignments spanning 78 of 81 dimensions,
+    # so its rank is decided over the integers
+    first, second = (inequality_from_sign_function(SignFunction.from_text(t)) for t in N4_SEESAW)
+    summed = BellInequality(4, first.coeffs + second.coeffs, 512)
+    assert _as_tuple(certify_tightness(summed)) == (False, 142, 78)
+    values = vertex_matrix(4) @ summed.coeffs.ravel()
+    assert _rational_rank(vertex_matrix(4)[np.abs(values) == 512].tolist()) == 78
 
 
 _entries = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
@@ -493,4 +542,4 @@ def _integer_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(rows=_integer_matrices())
 def test_rank_agrees_with_bareiss(rows):
-    assert fraction_free_rank(rows) == _bareiss_rank(rows)
+    assert fraction_free_rank(rows) == _rational_rank(rows)
