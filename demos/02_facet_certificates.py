@@ -3,11 +3,14 @@
 Each deterministic strategy lands on a vertex x * (1,u,w) (x) (1,u',w') of
 the correlation polytope.  Against a generated inequality every vertex
 scores exactly +bound or -bound; the saturating half spans the full
-9-dimensional space, which is precisely the facet property.  One
-fraction-free (Bareiss) elimination takes the rank, first modulo a prime: a
-full rank there is proven (a minor nonzero mod p is a nonzero integer).  Only
-a rank-deficient set, like the sum of two facets below, is eliminated again
-over the integers.  The certificate involves no floating point at all.
+9-dimensional space, which is precisely the facet property.  A family
+member's full rank needs no elimination: its saturating set holds the nine
+rows K[v] with no pair code 3, the Kronecker square of
+[[1, 1, 1], [1, -1, 1], [1, 1, -1]], a minor of determinant 4^6.  A set
+without them, like the sum of two facets below, is ranked by one
+fraction-free (Bareiss) elimination, first modulo a prime (a minor nonzero
+mod p is a nonzero integer), and again over the integers when that rank
+falls short.  The certificate involves no floating point at all.
 """
 
 import numpy as np

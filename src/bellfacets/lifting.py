@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import SignFunction, _bit_tables, _pair_codes
-from .polytope import BellInequality, inequality_from_sign_function, vertex_matrix
+from .polytope import BellInequality, _vertex_values, inequality_from_sign_function
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +48,7 @@ class LiftedInequality:
 def lift(ineq: BellInequality) -> LiftedInequality:
     """Reinterpret setting 0 as the substituted constant and re-bound."""
     parties = ineq.parties
-    values = vertex_matrix(parties) @ ineq.coeffs.ravel()
+    values = _vertex_values(ineq)
     low, high = int(values.min()), int(values.max())
     constant = int(ineq.coeffs[(0,) * parties])
     marginals = [tuple(int(c) for c in ineq.coeffs[(0,) * i + (slice(1, 3),) + (0,) * (parties - 1 - i)])

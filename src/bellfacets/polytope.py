@@ -16,16 +16,16 @@ K[v] evaluates to exactly 2^(2N) s(v) against such a g (the reconstruction
 identity K g = 2^(2N) s), which makes the bound classical and the saturating
 half of the vertices span the whole space; sign_function_of inverts the map.
 
-Tightness is certified with exact arithmetic, never floating point: one
-fraction-free (Bareiss) elimination ranks the saturating vertices, first
-modulo a prime p.  A minor that is nonzero mod p is a nonzero integer, so the
-rank mod p never exceeds the rank over the rationals, and when it reaches
-min(rows, cols) that is the rank.  Only a rank-deficient set is eliminated
-again over the integers.  A vertex and its negation span one line, so the
-rank is that of the rows K[v] of the saturating assignment set, memoised per
-set.  Every admissible inequality saturates one vertex of each assignment
-(the reconstruction identity), so one elimination per observer count serves
-all.
+Tightness is certified with exact arithmetic, never floating point.  A vertex
+and its negation span one line, so the rank is that of the rows K[v] of the
+saturating assignment set.  The rows with every pair code below 3 are the
+Kronecker power of M1 = [[1, 1, 1], [1, -1, 1], [1, 1, -1]] up to order, and
+det M1 = 4, so a set holding them has rank 3^N: every family member's set
+does (the reconstruction identity).  Any other set gets one fraction-free
+(Bareiss) elimination, first modulo a prime p.  A minor nonzero mod p is a
+nonzero integer, so the rank mod p never exceeds the rank over the
+rationals, and when it reaches min(rows, cols) that is the rank.  Only a
+rank-deficient set is eliminated again over the integers.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fourier import (SignFunction, _bit_tables, _check_parties, _fwht, _setting_subsets,
-                      fourier_transform, is_admissible, table_size)
+from .fourier import (SignFunction, _bit_tables, _check_parties, _fwht, _pair_codes,
+                      _setting_subsets, fourier_transform, is_admissible, table_size)
 
 
 @lru_cache(maxsize=None)
@@ -54,6 +54,10 @@ def vertex_matrix(parties: int) -> np.ndarray:
     return rows
 
 
+# K at N = 1, by the same rule: row c, the pair code u + 2w, is (1, u, w)
+_OBSERVER_ROWS = _fwht(_setting_subsets(1)[:, None] == np.arange(4)).T
+
+
 @dataclass(frozen=True, eq=False)
 class BellInequality:
     """Integer coefficient tensor over settings tuples with classical bound.
@@ -68,6 +72,7 @@ class BellInequality:
     bound: int
 
     def __post_init__(self):
+        _check_parties(self.parties)
         if self.coeffs.shape != (3,) * self.parties:
             raise ValueError(f"coeffs must have shape {(3,) * self.parties}")
 
@@ -81,9 +86,20 @@ def inequality_from_sign_function(s: SignFunction) -> BellInequality:
     return BellInequality(s.parties, coeffs, table_size(s.parties))
 
 
+def _vertex_values(ineq: BellInequality) -> np.ndarray:
+    """K g, entry v the value of vertex K[v], without K: g is contracted one
+    observer axis at a time with K at N = 1."""
+    values = ineq.coeffs
+    for _ in range(ineq.parties):
+        # contract the leading settings axis; that observer's pair code axis goes last
+        values = (_OBSERVER_ROWS @ values.reshape(3, -1)).T
+    # axes are now observer 0's pair code to observer N-1's; in v, observer 0's varies fastest
+    return values.reshape((4,) * ineq.parties).ravel(order="F")
+
+
 def sign_function_of(ineq: BellInequality) -> SignFunction | None:
     """The s with K g = 2^(2N) s, or None if there is none: inverts inequality_from_sign_function."""
-    values = vertex_matrix(ineq.parties) @ ineq.coeffs.ravel()
+    values = _vertex_values(ineq)
     family = (np.abs(values) == table_size(ineq.parties)).all()
     return SignFunction(ineq.parties, _bit_tables(values < 0)[0]) if family else None
 
@@ -95,7 +111,7 @@ class LhvBounds(NamedTuple):
 
 def lhv_max(ineq: BellInequality) -> LhvBounds:
     """Extremes of <coeffs, V> over all vertices V = +/-K[v] (brute force)."""
-    top = int(np.abs(vertex_matrix(ineq.parties) @ ineq.coeffs.ravel()).max())
+    top = int(np.abs(_vertex_values(ineq)).max())
     return LhvBounds(top, -top)
 
 
@@ -115,10 +131,13 @@ def _strategy_matrix(parties: int) -> np.ndarray:
 
 
 def lhv_max_by_strategies(ineq: BellInequality) -> LhvBounds:
-    """Same extrema via the 2^(3N) deterministic strategies; an independent
-    route used to cross-check the vertex scan."""
-    values = _strategy_matrix(ineq.parties) @ ineq.coeffs.ravel()
-    return LhvBounds(int(values.max()), int(values.min()))
+    """Same extrema via the 2^(3N) deterministic strategies, an independent
+    route that cross-checks the vertex scan: each strategy of the first N-1
+    observers leaves the last three coefficients c, and the last observer's
+    best reply adds sum |c_n| (or subtracts it, for the minimum)."""
+    replies = _strategy_matrix(ineq.parties - 1) @ ineq.coeffs.reshape(-1, 3)
+    top = int(np.abs(replies).sum(axis=1).max())
+    return LhvBounds(top, -top)
 
 
 # The largest prime below 2^31: products of residues stay below 2^62 in int64.
@@ -182,27 +201,24 @@ def certify_tightness(ineq: BellInequality) -> TightnessCertificate:
     so full linear rank is one more than the face's affine dimension.
 
     The vertices +K[v] and -K[v] span one line, so the rank depends only on
-    which assignments v saturate with either sign: it is taken on the rows
-    K[v] of that set and memoised per set.  A bound no vertex attains leaves
-    the set empty: rank 0, not tight.
+    which assignments v saturate with either sign.  A set holding every
+    assignment whose pair codes are all below 3 holds the Kronecker minor
+    and has rank 3^N; any other set is ranked by elimination of its rows
+    K[v].  A bound no vertex attains leaves the set empty: rank 0, not tight.
     """
-    values = vertex_matrix(ineq.parties) @ ineq.coeffs.ravel()
+    values = _vertex_values(ineq)
     plus, minus = values == ineq.bound, values == -ineq.bound
     count = int(plus.sum() + minus.sum())
-    rank = _assignment_rank(ineq.parties, (plus | minus).tobytes())
+    chosen = plus | minus
+    if chosen[(_pair_codes(ineq.parties) < 3).all(axis=1)].all():
+        rank = 3 ** ineq.parties  # the Kronecker minor
+    else:
+        rank = fraction_free_rank(vertex_matrix(ineq.parties)[chosen].tolist())
     return TightnessCertificate(
         tight=rank == 3 ** ineq.parties,
         saturating_count=count,
         rank=rank,
     )
-
-
-@lru_cache(maxsize=64)
-def _assignment_rank(parties: int, assignments: bytes) -> int:
-    """Exact rank of the rows K[v] of an assignment set, given as the bytes
-    of its boolean mask over the 4^N assignments."""
-    chosen = np.frombuffer(assignments, dtype=bool)
-    return fraction_free_rank(vertex_matrix(parties)[chosen].tolist())
 
 
 def chsh_pattern(ineq: BellInequality) -> bool:

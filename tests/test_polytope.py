@@ -22,7 +22,8 @@ from bellfacets import (
     two_setting_reduction,
     vertex_matrix,
 )
-from bellfacets.polytope import _WITNESS_PRIME, _strategy_matrix
+from bellfacets import polytope
+from bellfacets.polytope import _WITNESS_PRIME, _strategy_matrix, _vertex_values
 from relabel import SymmetryElement
 
 
@@ -78,6 +79,38 @@ def test_vertex_rows_match_the_product_formula():
 def test_vertex_matrix_rejects_unsupported_parties(parties):
     with pytest.raises(ValueError, match="parties must be in"):
         vertex_matrix(parties)
+    with pytest.raises(ValueError, match="parties must be in"):
+        BellInequality(parties, np.zeros((3,) * parties, dtype=np.int64), 1)
+
+
+@st.composite
+def _integer_tensors(draw):
+    parties = draw(st.sampled_from((2, 3, 4)))
+    entries = st.one_of(st.integers(-4, 4), st.integers(-(2**40), 2**40))
+    flat = draw(st.lists(entries, min_size=3 ** parties, max_size=3 ** parties))
+    return BellInequality(parties, np.array(flat, dtype=np.int64).reshape((3,) * parties), 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ineq=_integer_tensors())
+def test_vertex_values_are_the_vertex_table_product(ineq):
+    values = _vertex_values(ineq)
+    assert values.dtype == np.int64
+    assert np.array_equal(values, vertex_matrix(ineq.parties) @ ineq.coeffs.ravel())
+
+
+def test_vertex_values_stay_exact_at_the_catalog_limit():
+    # every coefficient at +/- the largest magnitude a catalog entry may hold at N=4;
+    # a vertex value sums 81 of them, and no partial sum may leave int64
+    limit = (2**63 - 1) // 3**4
+    K = vertex_matrix(4)
+    rng = np.random.default_rng(29)
+    for signs in (K[0], K[0b10_01_11_00], -K[255], rng.choice([-1, 1], size=81)):
+        flat = [int(x) * limit for x in signs]
+        ineq = BellInequality(4, np.array(flat, dtype=np.int64).reshape((3,) * 4), 1)
+        exact = [sum(k * c for k, c in zip(row, flat)) for row in K.tolist()]
+        assert _vertex_values(ineq).tolist() == exact
+    assert 81 * limit > 2**62  # the score of a pattern K[v] at v: the three row patterns reach it
 
 
 def test_unit_resolution_spot_checks():
@@ -359,7 +392,7 @@ def test_certificate_matches_rank_of_raw_saturating_rows(census3, chsh_inequalit
 def _tensors_with_attained_bound(draw):
     """A random integer tensor, mostly off the family, with a bound drawn from
     its values over the deterministic strategies, so the face is not empty."""
-    parties = draw(st.sampled_from((2, 3)))
+    parties = draw(st.sampled_from((2, 3, 4)))
     flat = draw(st.lists(st.integers(-4, 4), min_size=3 ** parties, max_size=3 ** parties))
     coeffs = np.array(flat, dtype=np.int64).reshape((3,) * parties)
     values = sorted(set((_strategy_matrix(parties) @ coeffs.ravel()).tolist()))
@@ -370,6 +403,8 @@ def _tensors_with_attained_bound(draw):
 @given(ineq=_tensors_with_attained_bound())
 def test_bound_routes_and_certificate_agree_off_the_family(ineq):
     assert lhv_max(ineq) == lhv_max_by_strategies(ineq)
+    values = _strategy_matrix(ineq.parties) @ ineq.coeffs.ravel()  # every strategy, no best reply
+    assert lhv_max_by_strategies(ineq) == (values.max(), values.min())
     assert _as_tuple(certify_tightness(ineq)) == _raw_certificate(ineq)
 
 
@@ -427,8 +462,12 @@ def test_read_off_inverts_the_induced_map(s):
 def test_read_off_is_none_off_the_family(ineq, scale, index):
     # a member's squared norm is 4^(2N) (Parseval); entries within +/-4 fall short
     assert sign_function_of(ineq) is None
-    tables = _admissible_tables3() if ineq.parties == 3 else _admissible_tables2()
-    member = inequality_from_sign_function(SignFunction(ineq.parties, tables[index % len(tables)]))
+    if ineq.parties == 4:
+        function = _section_rule_tables4(seed=index, count=1)[0]
+    else:
+        tables = _admissible_tables3() if ineq.parties == 3 else _admissible_tables2()
+        function = SignFunction(ineq.parties, tables[index % len(tables)])
+    member = inequality_from_sign_function(function)
     # scaled by -1 a member stays in the family, by 0 or +/-2 it leaves
     for coeffs in (scale * member.coeffs, member.coeffs + ineq.coeffs):
         s = sign_function_of(BellInequality(ineq.parties, coeffs, ineq.bound))
@@ -436,6 +475,50 @@ def test_read_off_is_none_off_the_family(ineq, scale, index):
         assert (s is None) == bool((np.abs(values) != 4 ** ineq.parties).any())
         if s is not None:
             assert np.array_equal(inequality_from_sign_function(s).coeffs, coeffs)
+
+
+# ── the Kronecker minor ─────────────────────────────────────────────────────
+
+_M1 = np.array([[1, 1, 1], [1, -1, 1], [1, 1, -1]])
+
+
+@pytest.mark.parametrize("parties", [1, 2, 3, 4, 5])
+def test_kronecker_power_has_full_rank(parties):
+    power = reduce(np.kron, [_M1] * parties)
+    assert power.shape == (3 ** parties, 3 ** parties)
+    assert fraction_free_rank(power.tolist()) == 3 ** parties
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4])
+def test_rows_without_a_code_3_are_the_kronecker_power(parties):
+    codes = np.arange(4 ** parties)[:, None] >> 2 * np.arange(parties) & 3
+    minor = vertex_matrix(parties)[(codes < 3).all(axis=1)]
+    power = reduce(np.kron, [_M1] * parties)
+    assert sorted(map(tuple, minor.tolist())) == sorted(map(tuple, power.tolist()))
+
+
+def test_only_sets_without_the_minor_are_eliminated(census3, chsh_inequality, monkeypatch):
+    eliminated = []
+    rank = polytope.fraction_free_rank
+    monkeypatch.setattr(polytope, "fraction_free_rank",
+                        lambda rows: eliminated.append(len(rows)) or rank(rows))
+    for cls in census3.canonical_classes:
+        assert _as_tuple(certify_tightness(inequality_from_sign_function(cls.representative))) == (True, 64, 27)
+    for s in _section_rule_tables4(seed=17, count=4):
+        assert _as_tuple(certify_tightness(inequality_from_sign_function(s))) == (True, 256, 81)
+    assert eliminated == []
+    assert certify_tightness(_WITNESS3) == TightnessCertificate(True, 40, 27)
+    assert eliminated == [40]
+    other = inequality_from_sign_function(
+        SignFunction.from_function(2, lambda a, b, c, d: -1 if b == c == -1 else 1)
+    )
+    cert = certify_tightness(BellInequality(2, chsh_inequality.coeffs + other.coeffs, 32))
+    assert not cert.tight and cert.rank < 9 and len(eliminated) == 2
+    # E_00 + E_02 <= 2 holds with equality where w_1 = +1: on every row whose pair codes
+    # are below 2 (the two-setting minor), yet those rows span 6 of the 9 dimensions
+    face = BellInequality(2, np.array([[1, 0, 1], [0, 0, 0], [0, 0, 0]]), 2)
+    assert _as_tuple(certify_tightness(face)) == _raw_certificate(face) == (False, 8, 6)
+    assert len(eliminated) == 3
 
 
 # ── exact rank ──────────────────────────────────────────────────────────────
