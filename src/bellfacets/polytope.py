@@ -88,13 +88,12 @@ def inequality_from_sign_function(s: SignFunction) -> BellInequality:
 
 def _vertex_values(ineq: BellInequality) -> np.ndarray:
     """K g, entry v the value of vertex K[v], without K: g is contracted one
-    observer axis at a time with K at N = 1."""
-    values = ineq.coeffs
+    observer axis at a time with K at N = 1, from observer N-1 down, each
+    pair-code axis placed last, so observer 0's code varies fastest, as in v."""
+    values = ineq.coeffs.T
     for _ in range(ineq.parties):
-        # contract the leading settings axis; that observer's pair code axis goes last
         values = (_OBSERVER_ROWS @ values.reshape(3, -1)).T
-    # axes are now observer 0's pair code to observer N-1's; in v, observer 0's varies fastest
-    return values.reshape((4,) * ineq.parties).ravel(order="F")
+    return values.ravel()
 
 
 def sign_function_of(ineq: BellInequality) -> SignFunction | None:
@@ -131,10 +130,9 @@ def _strategy_matrix(parties: int) -> np.ndarray:
 
 
 def lhv_max_by_strategies(ineq: BellInequality) -> LhvBounds:
-    """Same extrema via the 2^(3N) deterministic strategies, an independent
-    route that cross-checks the vertex scan: each strategy of the first N-1
-    observers leaves the last three coefficients c, and the last observer's
-    best reply adds sum |c_n| (or subtracts it, for the minimum)."""
+    """Same extrema via deterministic strategies, an independent route that
+    cross-checks the vertex scan: each strategy of the first N-1 observers
+    leaves three coefficients c, and the last observer's best reply is +/-sum |c_n|."""
     replies = _strategy_matrix(ineq.parties - 1) @ ineq.coeffs.reshape(-1, 3)
     top = int(np.abs(replies).sum(axis=1).max())
     return LhvBounds(top, -top)
