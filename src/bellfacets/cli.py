@@ -80,25 +80,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the verdict's checks, in row order: an entry passes when all of them hold
+_CHECKS = ("coeffs_ok", "bound_ok", "tight", "certificate_ok")
+
+
 def _verdict(entry: dict, ineq: BellInequality, stored: TightnessCertificate) -> dict[str, Any]:
     """The row verify writes for one entry: its sign function, as canonical
     text, is the one read off its coefficients, its bound is the LHV maximum,
     and its stored certificate is the recomputed one, tight."""
     bounds, cert = lhv_max(ineq), certify_tightness(ineq)
     claimed = SignFunction.from_text(entry["sign_function"])
-    induced, bound_ok = sign_function_of(ineq) == claimed, bounds == (ineq.bound, -ineq.bound)
-    return {
+    row = {
         "sign_function": claimed.to_text(),
-        "coeffs_ok": induced,
+        "coeffs_ok": sign_function_of(ineq) == claimed,
         "lhv_max": bounds.maximum,
         "lhv_min": bounds.minimum,
-        "bound_ok": bound_ok,
+        "bound_ok": bounds == (ineq.bound, -ineq.bound),
         "tight": cert.tight,
         "saturating_count": cert.saturating_count,
         "rank": cert.rank,
         "certificate_ok": cert == stored,
-        "pass": induced and bound_ok and cert.tight and cert == stored,
     }
+    row["pass"] = all(row[key] for key in _CHECKS)
+    return row
 
 
 def _read_catalog(args: argparse.Namespace) -> tuple[list[dict], list[BellInequality], list[dict]]:
@@ -125,7 +129,7 @@ def _read_catalog(args: argparse.Namespace) -> tuple[list[dict], list[BellInequa
 def _findings(command: str, verdicts: list[dict]) -> int:
     """One stderr line per failing entry, naming its failed checks; the exit status."""
     for index, verdict in enumerate(verdicts):
-        failed = [key for key in ("coeffs_ok", "bound_ok", "tight", "certificate_ok") if not verdict[key]]
+        failed = [key for key in _CHECKS if not verdict[key]]
         if failed:
             print(f"bellfacets {command}: entry {index} ({verdict['sign_function']}) fails "
                   f"{', '.join(failed)}", file=sys.stderr)

@@ -7,7 +7,9 @@ every such tensor equals a *vertex* x * (1, u_0, w_0) x ... x (1, u_{N-1},
 w_{N-1}), so the polytope of locally modelable correlation tensors is the
 convex hull of the 2^(2N+1) vertices +/-K[v], one pair per assignment v.
 Entry j of K[v] is the character (-1)^|v & T_j| of the subset T_j addressing
-settings tuple j.  Only K is stored; bounds and certificates apply the sign.
+settings tuple j.  Only K is stored, once per N: the vertex values K g and
+the rows of every elimination come from it, and bounds and certificates
+apply the sign.
 
 An admissible sign function s induces the inequality |<g, E>| <= 2^(2N),
 where g gathers at each settings tuple the spectrum coefficient of its
@@ -54,10 +56,6 @@ def vertex_matrix(parties: int) -> np.ndarray:
     return rows
 
 
-# K at N = 1, by the same rule: row c, the pair code u + 2w, is (1, u, w)
-_OBSERVER_ROWS = _fwht(_setting_subsets(1)[:, None] == np.arange(4)).T
-
-
 @dataclass(frozen=True, eq=False)
 class BellInequality:
     """Integer coefficient tensor over settings tuples with classical bound.
@@ -87,13 +85,9 @@ def inequality_from_sign_function(s: SignFunction) -> BellInequality:
 
 
 def _vertex_values(ineq: BellInequality) -> np.ndarray:
-    """K g, entry v the value of vertex K[v], without K: g is contracted one
-    observer axis at a time with K at N = 1, from observer N-1 down, each
-    pair-code axis placed last, so observer 0's code varies fastest, as in v."""
-    values = ineq.coeffs.T
-    for _ in range(ineq.parties):
-        values = (_OBSERVER_ROWS @ values.reshape(3, -1)).T
-    return values.ravel()
+    """K g, entry v the value of vertex K[v], from the cached table K
+    (162 KiB at N = 4; it fits in memory through N = 6)."""
+    return vertex_matrix(ineq.parties) @ ineq.coeffs.ravel()
 
 
 def sign_function_of(ineq: BellInequality) -> SignFunction | None:

@@ -620,6 +620,7 @@ def test_flag_a_command_does_not_read_is_a_usage_error(argv, catalog2, tmp_path,
 # ── N=4 smoke path ──────────────────────────────────────────────────────────
 
 N4_TEXT = "N=4;table=33cc330055ff553355cc0c0c55ff0c3faaccf3c0aafff3f3ccccccccaaffaaff"
+N4_SECOND_TEXT = "N=4;table=35ac35accccccccc35ac35accccccccc3a5c3a5c33aa33aa3a5c3a5c33aa33aa"
 
 
 def test_four_observer_entry_through_verify_lift_violate(tmp_path):
@@ -647,3 +648,29 @@ def test_four_observer_entry_through_verify_lift_violate(tmp_path):
     assert run_cli("violate", "--in", catalog, "--out", violated,
                    "--restarts", 1, "--seed", 7) == EXIT_OK
     assert json.loads(violated.read_text())[0]["quantum"]["ratio"] >= 1
+
+
+def test_four_observer_partial_set_through_verify(tmp_path, capsys):
+    # the sum of two N=4 facets saturates a partial set: its rank comes from elimination
+    first, second = (inequality_from_sign_function(SignFunction.from_text(t))
+                     for t in (N4_TEXT, N4_SECOND_TEXT))
+    entry = {
+        "parties": 4,
+        "bound": 512,
+        "coeffs": [int(c) for c in (first.coeffs + second.coeffs).ravel()],
+        "sign_function": N4_TEXT,
+        "canonical": False,
+        "tight": False,
+        "saturating_count": 142,
+        "rank": 78,
+    }
+    catalog = tmp_path / "summed4.json"
+    catalog.write_text(json.dumps([entry]))
+    verified = tmp_path / "v.json"
+    capsys.readouterr()
+    assert run_cli("verify", "--in", catalog, "--out", verified) == EXIT_FINDINGS
+    assert capsys.readouterr().err == f"bellfacets verify: entry 0 ({N4_TEXT}) fails coeffs_ok, tight\n"
+    [row] = json.loads(verified.read_text())
+    assert (row["lhv_max"], row["lhv_min"], row["bound_ok"]) == (512, -512, True)
+    assert (row["saturating_count"], row["rank"], row["certificate_ok"]) == (142, 78, True)
+    assert not row["pass"]

@@ -93,15 +93,23 @@ def _integer_tensors(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(ineq=_integer_tensors())
-def test_vertex_values_are_the_vertex_table_product(ineq):
+def test_vertex_values_match_the_product_formula(ineq):
+    # every v at N <= 3 and a seeded sample at N = 4, each summed in Python ints
     values = _vertex_values(ineq)
-    assert values.dtype == np.int64
-    assert np.array_equal(values, vertex_matrix(ineq.parties) @ ineq.coeffs.ravel())
+    assert values.dtype == np.int64 and values.shape == (4 ** ineq.parties,)
+    flat = ineq.coeffs.ravel().tolist()
+    if ineq.parties <= 3:
+        sample = range(4 ** ineq.parties)
+    else:
+        sample = np.random.default_rng(31).choice(4 ** ineq.parties, size=24, replace=False).tolist()
+    for bits in sample:
+        row = _vertex_row(ineq.parties, bits, 1).tolist()
+        assert int(values[bits]) == sum(k * c for k, c in zip(row, flat))
 
 
 def test_vertex_values_stay_exact_at_the_catalog_limit():
     # every coefficient at +/- the largest magnitude a catalog entry may hold at N=4;
-    # a vertex value sums 81 of them, and no partial sum may leave int64
+    # each entry of the int64 product sums 81 of them and must stay exact
     limit = (2**63 - 1) // 3**4
     K = vertex_matrix(4)
     rng = np.random.default_rng(29)
