@@ -145,15 +145,6 @@ def _write_certified(args: argparse.Namespace, inequalities: list[BellInequality
     return _findings(args.command, [_verdict(*row) for row in zip(entries, inequalities, certs)])
 
 
-def _canonical_flags(functions: list[SignFunction]) -> list[bool]:
-    """Whether each function (all of one observer count, N <= 3) is the least
-    table of its orbit, as canonicalize would say, scanning each orbit once."""
-    tables = sorted({s.table for s in functions})
-    least, _ = orbit_least(functions[0].parties, np.array(tables, dtype=np.uint64))
-    lookup = dict(zip(tables, least.tolist()))
-    return [lookup[s.table] == s.table for s in functions]
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     reps = [inequality_from_sign_function(c.representative)
             for c in classify(args.parties).canonical_classes]
@@ -182,7 +173,8 @@ def _cmd_violate(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     reduction = two_setting_reduction(args.parties)
-    return _write_certified(args, reduction, _canonical_flags([sign_function_of(ineq) for ineq in reduction]))
+    tables = np.array([sign_function_of(ineq).table for ineq in reduction], dtype=np.uint64)
+    return _write_certified(args, reduction, (orbit_least(args.parties, tables)[0] == tables).tolist())
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
@@ -204,24 +196,16 @@ _COMMANDS = {
 }
 
 
-def _usage_error(args: argparse.Namespace) -> str | None:
-    """The first out-of-range flag value, checked before any input is read;
-    the library itself rejects an unsupported --parties."""
-    if "restarts" in args and args.restarts < 1:
-        return "--restarts must be at least 1"
-    if "seed" in args and args.seed < 0:
-        return "--seed must be non-negative"
-    return None
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line (see build_parser); returns the
     process exit status."""
-    usage = _usage_error(args)
-    if usage is not None:
-        print(f"bellfacets {args.command}: {usage}", file=sys.stderr)
-        return EXIT_ERROR
     try:
+        # out-of-range flag values, checked before any input is read; the
+        # library itself rejects an unsupported --parties
+        if "restarts" in args and args.restarts < 1:
+            raise ValueError("--restarts must be at least 1")
+        if "seed" in args and args.seed < 0:
+            raise ValueError("--seed must be non-negative")
         return _COMMANDS[args.command][0](args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"bellfacets {args.command}: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ characters of the one-observer setting subsets and their negations); each step
 tests blocks of triples as arrays.  The tests hold it to an independent scan
 of all 2^16 tables for two observers.
 
-The census (:func:`classify`) groups the sorted tables by the least table
+The census (:func:`classify`) groups the streamed tables by the least table
 of their orbits, which the symmetry module's orbit walk supplies; each
 canonical class is annotated.
 """
@@ -110,7 +110,7 @@ def classify(parties: int) -> EnumerationReport:
     """
     if parties not in (2, 3):
         raise ValueError(f"census is desk-scale for 2 or 3 observers, got {parties}")
-    tables = np.sort(_admissible_tables(parties))
+    tables = _admissible_tables(parties)
     least, size = orbit_least(parties, tables)
     reps, first, members = np.unique(least, return_index=True, return_counts=True)
     # a class holds every image of its orbit unless the orbit left the family

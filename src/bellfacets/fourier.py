@@ -195,8 +195,7 @@ def is_factorable(s: SignFunction) -> bool:
     """True when s is +/- a single character, yielding a trivial inequality.
 
     Equivalent to the induced coefficient tensor having exactly one nonzero
-    entry, necessarily of magnitude 2^(2N).
+    entry, necessarily of magnitude 2^(2N): by Parseval the squared spectrum
+    of a +/-1 table sums to 2^(4N).
     """
-    spec = fourier_transform(s)
-    hits = np.flatnonzero(spec)
-    return len(hits) == 1 and abs(int(spec[hits[0]])) == table_size(s.parties)
+    return bool(np.count_nonzero(fourier_transform(s)) == 1)

@@ -223,11 +223,9 @@ def chsh_pattern(ineq: BellInequality) -> bool:
     magnitudes = {abs(int(ineq.coeffs[tuple(pos)])) for pos in support}
     if magnitudes != {table_size(ineq.parties) // 2}:
         return False
-    used = [sorted(set(support[:, i].tolist())) for i in range(ineq.parties)]
-    sizes = sorted(len(u) for u in used)
+    # settings used per observer; four distinct points on a 2x2 rectangle fill it
+    sizes = sorted(len(set(column)) for column in support.T.tolist())
     if sizes != [1] * (ineq.parties - 2) + [2, 2]:
-        return False
-    if len(support) != np.prod([len(u) for u in used]):
         return False
     negatives = sum(1 for pos in support if ineq.coeffs[tuple(pos)] < 0)
     return negatives % 2 == 1

@@ -16,8 +16,8 @@ s(v XOR m), one row per mask, gathered once, then read through a cached
 table of the N! * 2^N moves in blocks, so that the N=4 orbit (196608
 tables) never materializes at once.  It feeds the streaming canonical form
 and the sorted orbit words, and one walk over the orbit words
-(:func:`orbit_least`) serves both the census and ``reduce``'s canonical
-flags.
+(:func:`orbit_least`, on tables in any order) serves both the census and
+``reduce``'s canonical flags.
 """
 
 from __future__ import annotations
@@ -81,20 +81,22 @@ def orbit_words(s: SignFunction) -> np.ndarray:
 def orbit_least(parties: int, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least table of each table's orbit and the orbit's size (N <= 3).
 
-    ``tables`` is a sorted uint64 array without repeats.  The first table
-    whose orbit is not yet known has its orbit gathered whole, and every
-    table of the set in that orbit is marked, so each orbit met is scanned
-    once whether or not the set is closed under the group.
+    ``tables`` is a uint64 array in any order, repeats allowed; the results
+    are per input table.  The least distinct table whose orbit is not yet
+    known has its orbit gathered whole, and every table of the set in that
+    orbit is marked, so each orbit met is scanned once whether or not the
+    set is closed under the group.
     """
-    least = np.zeros_like(tables)
-    size = np.zeros(len(tables), dtype=np.int64)
-    unseen = np.ones(len(tables), dtype=bool)
+    distinct, inverse = np.unique(tables, return_inverse=True)
+    least = np.zeros_like(distinct)
+    size = np.zeros(len(distinct), dtype=np.int64)
+    unseen = np.ones(len(distinct), dtype=bool)
     while unseen.any():
-        orbit = orbit_words(SignFunction(parties, int(tables[unseen.argmax()])))
-        at = np.minimum(np.searchsorted(tables, orbit), len(tables) - 1)
-        at = at[tables[at] == orbit]
+        orbit = orbit_words(SignFunction(parties, int(distinct[unseen.argmax()])))
+        at = np.minimum(np.searchsorted(distinct, orbit), len(distinct) - 1)
+        at = at[distinct[at] == orbit]
         least[at], size[at], unseen[at] = orbit[0], len(orbit), False
-    return least, size
+    return least[inverse], size[inverse]
 
 
 def canonicalize(s: SignFunction) -> SignFunction:

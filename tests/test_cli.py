@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellfacets
 from bellfacets import (
+    BellInequality,
     LhvBounds,
     SignFunction,
     TightnessCertificate,
@@ -18,7 +20,8 @@ from bellfacets import (
 )
 from bellfacets import catalog as cat
 from bellfacets import cli
-from bellfacets.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, _canonical_flags, main
+from bellfacets.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, main
+from bellfacets.symmetry import orbit_least
 from relabel import symmetry_group
 
 SRC = str(Path(bellfacets.__file__).resolve().parents[1])
@@ -218,8 +221,9 @@ def test_written_entry_that_is_not_tight_is_a_finding(command, tmp_path, monkeyp
 def test_canonical_flags_match_canonicalize(census3):
     reps = [c.representative for c in census3.canonical_classes]
     images = [g.apply(s) for g, s in zip(symmetry_group(3)[1::97], reps)]
-    for functions in (list(enumerate_admissible(2)), reps + images):
-        flags = _canonical_flags(functions)
+    for parties, functions in ((2, list(enumerate_admissible(2))), (3, reps + images)):
+        tables = np.array([s.table for s in functions], dtype=np.uint64)
+        flags = (orbit_least(parties, tables)[0] == tables).tolist()
         assert flags == [canonicalize(s) == s for s in functions]
         assert 1 < sum(flags) < len(functions)
 
@@ -331,6 +335,20 @@ def test_missing_entry_field_is_one_line_error(command, catalog2, tmp_path, caps
     capsys.readouterr()
     assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
     assert capsys.readouterr().err == f"bellfacets {command}: catalog entry 1: lacks coeffs\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "violate", "lift"])
+def test_sign_function_of_another_observer_count_is_one_line_error(command, catalog2, tmp_path, capsys):
+    # parties and coeffs agree on N=3, the N=2 sign function does not
+    entries = json.loads(catalog2.read_text())
+    entries[1].update(parties=3, coeffs=entries[1]["coeffs"] * 3)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    assert capsys.readouterr().err == (f"bellfacets {command}: catalog entry 1: "
+                                       "sign_function has N=2, parties is 3\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "violate", "lift"])
@@ -615,6 +633,22 @@ def test_flag_a_command_does_not_read_is_a_usage_error(argv, catalog2, tmp_path,
         run_cli(*argv)
     assert info.value.code == EXIT_ERROR
     assert [p.name for p in tmp_path.iterdir()] == [catalog2.name]  # nothing written
+
+
+# ── catalog rows ────────────────────────────────────────────────────────────
+
+
+def test_catalog_entry_needs_a_generating_sign_function(chsh_inequality):
+    doubled = BellInequality(2, 2 * chsh_inequality.coeffs, 32)
+    with pytest.raises(ValueError, match="^catalog entries need a generating sign function$"):
+        cat.inequality_entry(doubled, certify_tightness(doubled), canonical=False)
+
+
+def test_unknown_catalog_format_is_rejected(catalog2, tmp_path):
+    entries = json.loads(catalog2.read_text())
+    with pytest.raises(ValueError, match="^unknown catalog format 'xml'$"):
+        cat.write_catalog(tmp_path / "catalog.xml", entries, "xml")
+    assert not (tmp_path / "catalog.xml").exists()
 
 
 # ── N=4 smoke path ──────────────────────────────────────────────────────────

@@ -15,7 +15,7 @@ from bellfacets import (
 )
 from bellfacets import enumeration, symmetry
 from bellfacets.enumeration import classify
-from bellfacets.polytope import chsh_pattern
+from bellfacets.polytope import BellInequality, chsh_pattern
 from exhaustive import exhaustive_two
 
 N2_ADMISSIBLE = 90      # established by the exhaustive 2^16 scan
@@ -161,6 +161,16 @@ def test_census_nontrivial_classes_are_chsh(census2):
     for cls in census2.canonical_classes:
         ineq = inequality_from_sign_function(cls.representative)
         assert chsh_pattern(ineq) == (not cls.factorable)
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    ([[8, 8, 0], [8, -8, 0], [0, 0, 0]], True),
+    ([[8, 8, 0], [8, -16, 0], [0, 0, 0]], False),  # unequal magnitudes
+    ([[8, 8, -8], [8, 0, 0], [0, 0, 0]], False),  # settings used per observer: 2 and 3
+], ids=["chsh", "unequal-magnitudes", "spread-2-3"])
+def test_chsh_pattern_rejects_near_misses(coeffs, expected):
+    ineq = BellInequality(2, np.array(coeffs, dtype=np.int64), 16)
+    assert chsh_pattern(ineq) is expected
 
 
 def test_census_three_observers(census3):

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -219,12 +220,20 @@ def test_text_round_trip(chsh_sign):
     assert SignFunction.from_text(chsh_sign.to_text()) == chsh_sign
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "N=2", "N=2;table=a0", "N=2;table=a0a0a0", "N=9;table=a0a0", "table=a0a0;N=2"],
-)
+_MALFORMED_TEXTS = {
+    "": "malformed sign-function text ''",
+    "N=2": "malformed sign-function text 'N=2'",
+    "N=2;table=a0": "table hex must have 4 digits for N=2",
+    "N=2;table=a0a0a0": "table hex must have 4 digits for N=2",
+    "N=9;table=a0a0": "parties must be in [2, 4], got 9",
+    "table=a0a0;N=2": "malformed sign-function text 'table=a0a0;N=2'",
+    "2;table=ff00": "malformed sign-function text '2;table=ff00'",
+}
+
+
+@pytest.mark.parametrize("text", list(_MALFORMED_TEXTS))
 def test_text_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(_MALFORMED_TEXTS[text])}$"):
         SignFunction.from_text(text)
 
 
@@ -248,3 +257,8 @@ def test_text_parser_raises_only_value_error(text):
 def test_from_values_rejects_non_sign():
     with pytest.raises(ValueError, match=r"table entry 15 is 2, not \+/-1"):
         SignFunction.from_values(2, [1] * 15 + [2])
+
+
+def test_from_values_rejects_a_table_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^need 16 values, got 2$"):
+        SignFunction.from_values(2, [1, 1])

@@ -83,6 +83,11 @@ def test_vertex_matrix_rejects_unsupported_parties(parties):
         BellInequality(parties, np.zeros((3,) * parties, dtype=np.int64), 1)
 
 
+def test_inequality_rejects_a_tensor_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"^coeffs must have shape \(3, 3\)$"):
+        BellInequality(2, np.zeros((3, 3, 3), dtype=np.int64), 16)
+
+
 @st.composite
 def _integer_tensors(draw):
     parties = draw(st.sampled_from((2, 3, 4)))

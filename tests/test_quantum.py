@@ -82,6 +82,18 @@ def test_nan_directions_are_not_unit():
         ObservableDirection(np.full((2, 3, 3), np.nan))
 
 
+def test_directions_of_the_wrong_shape_are_rejected():
+    message = r"^directions must have shape \(parties, 3 settings, 3 components\)$"
+    with pytest.raises(ValueError, match=message):
+        ObservableDirection(np.ones((2, 3, 2)) / np.sqrt(2))
+
+
+def test_directions_for_another_observer_count_are_rejected(chsh_inequality):
+    dirs = ObservableDirection.random(3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^direction set and inequality disagree on observer count$"):
+        bell_operator(chsh_inequality, dirs)
+
+
 # ── state evaluation ────────────────────────────────────────────────────────
 
 
@@ -93,6 +105,11 @@ def test_evaluate_state_requires_normalization(chsh_inequality, chsh_optimal_dir
 def test_evaluate_state_rejects_a_nan_state(chsh_inequality, chsh_optimal_dirs):
     with pytest.raises(ValueError, match="unit norm"):
         evaluate_state(chsh_inequality, chsh_optimal_dirs, np.full(4, np.nan))
+
+
+def test_evaluate_state_rejects_a_state_of_the_wrong_length(chsh_inequality, chsh_optimal_dirs):
+    with pytest.raises(ValueError, match=r"^state must have 2\^2 amplitudes$"):
+        evaluate_state(chsh_inequality, chsh_optimal_dirs, np.full(8, 8 ** -0.5))
 
 
 def test_product_state_respects_classical_bound(chsh_inequality, chsh_optimal_dirs):

@@ -175,16 +175,25 @@ def test_orbit_least_on_a_set_not_closed_under_the_group(monkeypatch):
               for i, k in zip(rng.integers(0, len(group3), size=8), rng.integers(0, 256, size=8))]
     tables = np.unique(np.array([s.table for s in reduced + images], dtype=np.uint64))
     assert len(tables) > 256
+    # the same tables shuffled, with repeats: results are per input table
+    shuffled = rng.permutation(np.concatenate((tables, rng.choice(tables, size=40))))
+    assert len(set(shuffled.tolist())) < len(shuffled)
     scanned = []
     monkeypatch.setattr(symmetry, "orbit_words", lambda s: scanned.append(s.table) or orbit_words(s))
     least, size = orbit_least(3, tables)
     orbits = dict(zip(least.tolist(), size.tolist()))
     assert len(scanned) == len(orbits)
     assert len(tables) < sum(orbits.values())
-    for table, low, n in zip(tables.tolist(), least.tolist(), size.tolist()):
+    scanned.clear()
+    shuffled_least, shuffled_size = orbit_least(3, shuffled)
+    assert len(scanned) == len(orbits)
+    expected = {}
+    for table in tables.tolist():
         s = SignFunction(3, table)
-        assert low == canonicalize(s).table
-        assert n == len(orbit_words(s))
+        expected[table] = (canonicalize(s).table, len(orbit_words(s)))
+    assert list(zip(least.tolist(), size.tolist())) == [expected[t] for t in tables.tolist()]
+    shuffled_results = list(zip(shuffled_least.tolist(), shuffled_size.tolist()))
+    assert shuffled_results == [expected[t] for t in shuffled.tolist()]
 
 
 def test_orbit_walk_rejects_four_observers():
