@@ -4,10 +4,10 @@ An admissible N-observer table is four sections over the last observer's
 variable pair, one per assignment of that pair, and every section is an
 admissible (N-1)-observer table.  The last observer's block condition forces
 section 3 pointwise from the other three, so the stream is one recursion over
-section triples, starting from the six valid one-observer blocks (the
-characters of the one-observer setting subsets and their negations); each step
-tests blocks of triples as arrays.  The tests hold it to an independent scan
-of all 2^16 tables for two observers.
+section triples.  It starts from the constant tables +/-1 at zero observers,
+and its first step gives the six valid one-observer blocks +/-1, +/-u and
++/-w; each step tests blocks of triples as arrays.  The tests hold it to an
+independent scan of all 2^16 tables for two observers.
 
 The census (:func:`classify`) groups the streamed tables by the least table
 of their orbits, which the symmetry module's orbit walk supplies; each
@@ -22,9 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .fourier import (SignFunction, _bit_tables, _check_parties, _fwht, _setting_subsets, is_factorable,
-                      table_size)
-from .polytope import chsh_pattern, inequality_from_sign_function
+from .fourier import SignFunction, _check_parties, is_factorable, table_size
 from .symmetry import orbit_least
 
 
@@ -36,14 +34,12 @@ _BLOCK = 1 << 16
 
 @lru_cache(maxsize=None)
 def _admissible_tables(parties: int) -> np.ndarray:
-    """Packed admissible tables in stream order (memoized, N <= 3), as uint64;
-    N = 1 is the six blocks +/-1, +/-u, +/-w in table order: the characters of
-    the one-observer setting subsets and their negations."""
-    if parties == 1:
-        negative = _fwht(_setting_subsets(1)[:, None] == np.arange(4)) < 0
-        tables = np.sort(np.array(_bit_tables(np.vstack((negative, ~negative))), dtype=np.uint64))
+    """Every admissible packed table, sorted, as read-only uint64 (memoized,
+    N <= 3); N = 0 is the two constant tables +/-1."""
+    if parties == 0:
+        tables = np.array([0, 1], dtype=np.uint64)
     else:
-        tables = np.fromiter(_table_stream(parties), dtype=np.uint64)
+        tables = np.sort(np.fromiter(_table_stream(parties), dtype=np.uint64))
     tables.setflags(write=False)
     return tables
 
@@ -56,7 +52,6 @@ def _table_stream(parties: int) -> Iterator[int]:
     # 0 to agree as well.  Each block tests a run of (s0, s1) pairs against
     # every s2; hits come out in (s0, s1, s2) order, packed only then.
     prev = _admissible_tables(parties - 1)
-    ordered = np.sort(prev)
     count = len(prev)
     m = table_size(parties - 1)
     mask = np.uint64((1 << m) - 1)
@@ -67,7 +62,7 @@ def _table_stream(parties: int) -> Iterator[int]:
         row, col = np.nonzero((~(s1 ^ prev) & mask & (s0 ^ s1)) == 0)
         s0, s1, s2 = s0[row, 0], s1[row, 0], prev[col]
         s3 = s0 ^ s1 ^ s2
-        hit = ordered[np.minimum(np.searchsorted(ordered, s3), count - 1)] == s3
+        hit = prev[np.minimum(np.searchsorted(prev, s3), count - 1)] == s3
         s0, s1, s2, s3 = s0[hit], s1[hit], s2[hit], s3[hit]
         if parties <= 3:  # the packed table fits one machine word
             yield from (s0 | s1 << m | s2 << (2 * m) | s3 << (3 * m)).tolist()
@@ -102,12 +97,7 @@ class EnumerationReport:
 
 
 def classify(parties: int) -> EnumerationReport:
-    """Group the admissible stream into canonical classes and annotate them.
-
-    For two observers every non-factorable class is verified to carry the
-    CHSH coefficient pattern; a violation would falsify the construction and
-    raises RuntimeError.
-    """
+    """Group the admissible stream into canonical classes and annotate them."""
     if parties not in (2, 3):
         raise ValueError(f"census is desk-scale for 2 or 3 observers, got {parties}")
     tables = _admissible_tables(parties)
@@ -121,12 +111,6 @@ def classify(parties: int) -> EnumerationReport:
         rep = SignFunction(parties, table)
         classes.append(CanonicalClass(rep, orbit_size, is_factorable(rep)))
     factorable_count = sum(c.orbit_size for c in classes if c.factorable)
-    if parties == 2:
-        for cls in classes:
-            if not cls.factorable and not chsh_pattern(inequality_from_sign_function(cls.representative)):
-                raise RuntimeError(
-                    f"non-factorable class {cls.representative.to_text()} lacks the CHSH pattern"
-                )
     return EnumerationReport(
         parties=parties,
         total_admissible=len(tables),

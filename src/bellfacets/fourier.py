@@ -77,6 +77,8 @@ class SignFunction:
 
     def __post_init__(self):
         _check_parties(self.parties)
+        if not isinstance(self.table, int):
+            raise ValueError(f"table must be an int, got {type(self.table).__name__}")
         if not 0 <= self.table < (1 << table_size(self.parties)):
             raise ValueError(f"table has bits beyond 2^(2N) entries for N={self.parties}")
 
@@ -123,8 +125,11 @@ class SignFunction:
         expected = table_size(parties) // 4
         if len(hexstr) != expected:
             raise ValueError(f"table hex must have {expected} digits for N={parties}")
-        table = int.from_bytes(bytes.fromhex(hexstr), "little")
-        return cls(parties, table)
+        try:
+            raw = bytes.fromhex(hexstr)
+        except ValueError as exc:
+            raise ValueError(f"malformed sign-function text {text!r}") from exc
+        return cls(parties, int.from_bytes(raw, "little"))
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:

@@ -71,6 +71,9 @@ class BellInequality:
 
     def __post_init__(self):
         _check_parties(self.parties)
+        if not (isinstance(self.coeffs, np.ndarray) and self.coeffs.dtype.kind == "i"):
+            kind = getattr(self.coeffs, "dtype", type(self.coeffs).__name__)
+            raise ValueError(f"coeffs must be a signed-integer array, got {kind}")
         if self.coeffs.shape != (3,) * self.parties:
             raise ValueError(f"coeffs must have shape {(3,) * self.parties}")
 

@@ -588,6 +588,20 @@ def test_sign_function_outside_the_family_is_rejected_on_reading(command, catalo
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "lift", "violate"])
+def test_non_hex_table_is_one_line_error(command, catalog2, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "seesaw_maximize_all", _no_seesaw)
+    entries = json.loads(catalog2.read_text())
+    entries[3]["sign_function"] = "N=2;table=ffzz"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    assert capsys.readouterr().err == (f"bellfacets {command}: catalog entry 3: "
+                                       "malformed sign-function text 'N=2;table=ffzz'\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("command, extra, text", [
     ("verify", (), "[]\n"), ("verify", ("--format", "csv"), ""), ("lift", (), "[]\n"), ("violate", (), "[]\n"),
 ], ids=["verify-json", "verify-csv", "lift", "violate"])

@@ -32,12 +32,13 @@ def test_exhaustive_matches_backtracking():
 
 
 def _reference_stream(parties):
-    """The section recursion as a plain triple loop over (s0, s1, s2), the
-    order the stream keeps; one observer has the six valid blocks."""
+    """The section recursion as a plain triple loop over (s0, s1, s2), each
+    section drawn from the sorted previous level, the order the stream keeps;
+    one observer has the six valid blocks."""
     if parties == 1:
         yield from (b for b in range(16) if (b & 1) + (b >> 3 & 1) == (b >> 1 & 1) + (b >> 2 & 1))
         return
-    prev = _reference_tables(parties - 1)
+    prev = sorted(_reference_tables(parties - 1))
     members = frozenset(prev)
     m = 1 << (2 * (parties - 1))
     mask = (1 << m) - 1
@@ -57,10 +58,16 @@ def _reference_tables(parties):
 
 
 def test_one_observer_blocks_match_the_nibble_predicate():
-    # the blocks come from the characters of the one-observer setting subsets
+    # one step of the recursion from the constant tables 0 and 1 gives the blocks
     blocks = enumeration._admissible_tables(1)
-    assert blocks.dtype == np.uint64 and not blocks.flags.writeable
     assert blocks.tolist() == list(_reference_tables(1)) == [0, 3, 5, 10, 12, 15]
+
+
+@pytest.mark.parametrize("parties, count", [(0, 2), (1, 6), (2, N2_ADMISSIBLE), (3, N3_ADMISSIBLE)])
+def test_every_level_is_sorted_read_only_and_repeat_free(parties, count):
+    tables = enumeration._admissible_tables(parties)
+    assert tables.dtype == np.uint64 and not tables.flags.writeable
+    assert len(tables) == count and (tables[1:] > tables[:-1]).all()  # sorted, no repeats
 
 
 @pytest.mark.parametrize("parties", [2, 3])

@@ -55,6 +55,10 @@ def test_assignment_round_trip():
 def test_assignment_rejects_stray_bits():
     with pytest.raises(ValueError):
         SignFunction(2, 1 << 16)
+    # a table must be a Python int: to_text needs int.to_bytes
+    for table, kind in ((np.uint64(5), "uint64"), (5.0, "float")):
+        with pytest.raises(ValueError, match=f"^table must be an int, got {kind}$"):
+            SignFunction(2, table)
     for parties in (1, 5):
         with pytest.raises(ValueError):
             _pair_codes(parties)
@@ -228,6 +232,8 @@ _MALFORMED_TEXTS = {
     "N=9;table=a0a0": "parties must be in [2, 4], got 9",
     "table=a0a0;N=2": "malformed sign-function text 'table=a0a0;N=2'",
     "2;table=ff00": "malformed sign-function text '2;table=ff00'",
+    "N=2;table=ffzz": "malformed sign-function text 'N=2;table=ffzz'",
+    "N=9;table=zz": "parties must be in [2, 4], got 9",
 }
 
 

@@ -83,9 +83,16 @@ def test_vertex_matrix_rejects_unsupported_parties(parties):
         BellInequality(parties, np.zeros((3,) * parties, dtype=np.int64), 1)
 
 
-def test_inequality_rejects_a_tensor_of_the_wrong_shape():
+def test_inequality_rejects_a_tensor_of_the_wrong_shape(chsh_inequality):
     with pytest.raises(ValueError, match=r"^coeffs must have shape \(3, 3\)$"):
         BellInequality(2, np.zeros((3, 3, 3), dtype=np.int64), 16)
+    # lhv_max would read 16 for this tensor, whose true maximum is 16.5
+    shifted = chsh_inequality.coeffs.astype(float)
+    shifted[0, 0] += 0.5
+    with pytest.raises(ValueError, match="^coeffs must be a signed-integer array, got float64$"):
+        BellInequality(2, shifted, 16)
+    with pytest.raises(ValueError, match="^coeffs must be a signed-integer array, got list$"):
+        BellInequality(2, chsh_inequality.coeffs.tolist(), 16)
 
 
 @st.composite

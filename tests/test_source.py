@@ -17,3 +17,15 @@ def test_library_has_no_assert_statements():
     ]
     assert len(SOURCES) >= 9
     assert found == []
+
+
+def test_census_imports_only_tables_and_orbits():
+    # the census needs the sign functions and the orbit walk, not the
+    # polytope: the N = 2 CHSH fact is held by tests, not re-proved per run
+    path = Path(bellfacets.__file__).parent / "enumeration.py"
+    imported = {
+        (node.module or "").removeprefix("bellfacets.")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("bellfacets"))
+    }
+    assert imported == {"fourier", "symmetry"}
