@@ -24,6 +24,7 @@ built in :mod:`bellfacets.polytope`.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -125,11 +126,9 @@ class SignFunction:
         expected = table_size(parties) // 4
         if len(hexstr) != expected:
             raise ValueError(f"table hex must have {expected} digits for N={parties}")
-        try:
-            raw = bytes.fromhex(hexstr)
-        except ValueError as exc:
-            raise ValueError(f"malformed sign-function text {text!r}") from exc
-        return cls(parties, int.from_bytes(raw, "little"))
+        if not set(hexstr) <= set(string.hexdigits):  # bytes.fromhex would skip spaces
+            raise ValueError(f"malformed sign-function text {text!r}")
+        return cls(parties, int.from_bytes(bytes.fromhex(hexstr), "little"))
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:

@@ -28,6 +28,11 @@ normalize(n + rho/(1 - rho) (n - n_before)), rho = d_k/d_{k-1}, n_before its
 value when the iteration began.  The trial is kept only if its operator's top
 eigenvalue exceeds the objective; it is not an iteration and not in the trace.
 
+Start rule: restart r under seed s draws u, u' per (observer, setting), in
+order, from random.Random(f"{s}:{r}"), whose stream no Python version changes;
+z = 2u - 1 and phi = 2 pi u' give a direction uniform on the sphere,
+(sqrt(1 - z^2) cos phi, sqrt(1 - z^2) sin phi, z).  numpy.random is not loaded.
+
 See-saw yields lower bounds only.  Each report is the run of highest final
 value among the restarts used (NaN never wins), the earliest on a tie, so the
 order in which rows finish cannot change it.  The reported state's first
@@ -37,6 +42,8 @@ amplitude of modulus above 1e-12 is real and positive, fixing its phase.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from dataclasses import dataclass
 from functools import cache
 
@@ -71,12 +78,6 @@ class ObservableDirection:
     @property
     def parties(self) -> int:
         return self.directions.shape[0]
-
-    @classmethod
-    def random(cls, parties: int, rng: np.random.Generator) -> "ObservableDirection":
-        vecs = rng.normal(size=(parties, 3, 3))
-        vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-        return cls(vecs)
 
 
 @cache
@@ -189,10 +190,11 @@ def seesaw_maximize_all(ineqs: list[BellInequality], restarts: int = 32,
                         seed: int = 0) -> list[QuantumValueReport]:
     """Alternating maximization over state and observable directions, one report per
     inequality, in order.  Deterministic for a given seed and restart count: restart r of
-    every inequality starts from the r-th spawn of the seed sequence, and ties between
-    restarts keep the earliest.  An inequality stops after the first restart that reaches
-    the algebraic maximum, since no later one could improve on it.  Each report depends on
-    its own inequality alone.  A non-positive bound raises ValueError before any iteration."""
+    every inequality starts from the directions the start rule (module docstring) draws
+    from (seed, r) alone, and ties between restarts keep the earliest.  An inequality
+    stops after the first restart that reaches the algebraic maximum, since no later one
+    could improve on it.  Each report depends on its own inequality alone.  A non-positive
+    bound raises ValueError before any iteration."""
     if restarts < 1:
         raise ValueError("need at least one restart")
     for k, ineq in enumerate(ineqs):
@@ -206,12 +208,22 @@ def seesaw_maximize_all(ineqs: list[BellInequality], restarts: int = 32,
     return [reports[k] for k in range(len(ineqs))]
 
 
+def _start(parties: int, seed: int, restart: int) -> np.ndarray:
+    """The start directions (N, 3, 3) of this restart under this seed (module docstring)."""
+    draw = random.Random(f"{seed}:{restart}").random
+    dirs = []
+    for _ in range(3 * parties):
+        z, phi = 2 * draw() - 1, 2 * math.pi * draw()
+        rho = math.sqrt(1 - z * z)
+        dirs.append((rho * math.cos(phi), rho * math.sin(phi), z))
+    return np.array(dirs).reshape(parties, 3, 3)
+
+
 def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
     """seesaw_maximize_all on inequalities of one observer count: rows are
     admitted in (inequality, restart) order, up to _ROW_BLOCK at a time."""
     parties = ineqs[0].parties
-    starts = np.stack([ObservableDirection.random(parties, np.random.default_rng(child)).directions
-                       for child in np.random.SeedSequence(seed).spawn(restarts)])
+    starts = np.stack([_start(parties, seed, r) for r in range(restarts)])
     coeffs = np.stack([ineq.coeffs for ineq in ineqs]).astype(np.float64)
     scales = np.array([float(ineq.bound) for ineq in ineqs])
     caps = np.array([float(algebraic_maximum(ineq)) for ineq in ineqs])

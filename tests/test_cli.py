@@ -177,6 +177,31 @@ def test_violate_rejects_bad_flag_before_reading_input(flag, value, message, sou
     assert not out.exists()
 
 
+def test_no_command_loads_numpy_random(tmp_path):
+    # the see-saw draws its starts with the standard library's random; importing
+    # numpy.random adds about 6 MB to a process's peak memory (numpy 2.4)
+    script = """
+import sys
+from bellfacets.cli import main
+runs = [
+    ["enumerate", "--parties", "2", "--out", "e.json"],
+    ["classify", "--parties", "2", "--out", "c.json"],
+    ["reduce", "--parties", "2", "--out", "r.json"],
+    ["verify", "--in", "e.json", "--out", "v.json"],
+    ["lift", "--in", "e.json", "--out", "l.json"],
+    ["violate", "--in", "e.json", "--out", "q.json", "--restarts", "2"],
+]
+for argv in runs:
+    print(argv[0], main(argv), "numpy.random" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == [f"{command} 0 False" for command in (
+        "enumerate", "classify", "reduce", "verify", "lift", "violate")] + [""]
+
+
 # ── reduce / lift / classify ────────────────────────────────────────────────
 
 
@@ -591,15 +616,18 @@ def test_sign_function_outside_the_family_is_rejected_on_reading(command, catalo
 @pytest.mark.parametrize("command", ["verify", "lift", "violate"])
 def test_non_hex_table_is_one_line_error(command, catalog2, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "seesaw_maximize_all", _no_seesaw)
-    entries = json.loads(catalog2.read_text())
-    entries[3]["sign_function"] = "N=2;table=ffzz"
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(entries))
-    capsys.readouterr()
-    assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
-    assert capsys.readouterr().err == (f"bellfacets {command}: catalog entry 3: "
-                                       "malformed sign-function text 'N=2;table=ffzz'\n")
-    assert not (tmp_path / "out.json").exists()
+    # the last two have as many characters as the table has digits, and bytes.fromhex
+    # alone would skip their spaces and read N=2;table=ff00 and N=3;table=ffffffffffffff00
+    for text in ("N=2;table=ffzz", "N=2;table=  ff", "N=3;table=ff ff ffffffffff"):
+        entries = json.loads(catalog2.read_text())
+        entries[3]["sign_function"] = text
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(entries))
+        capsys.readouterr()
+        assert run_cli(command, "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+        assert capsys.readouterr().err == (f"bellfacets {command}: catalog entry 3: "
+                                           f"malformed sign-function text {text!r}\n")
+        assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command, extra, text", [

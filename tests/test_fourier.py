@@ -233,6 +233,7 @@ _MALFORMED_TEXTS = {
     "table=a0a0;N=2": "malformed sign-function text 'table=a0a0;N=2'",
     "2;table=ff00": "malformed sign-function text '2;table=ff00'",
     "N=2;table=ffzz": "malformed sign-function text 'N=2;table=ffzz'",
+    "N=3;table=ff ff ffffffffff": "malformed sign-function text 'N=3;table=ff ff ffffffffff'",
     "N=9;table=zz": "parties must be in [2, 4], got 9",
 }
 

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import random
 from functools import reduce
 
 import numpy as np
@@ -27,6 +29,11 @@ ROOT2 = np.sqrt(2.0)
 # four-observer function of the benchmark's n4 workload.
 DENSE3 = "N=3;table=50facaca5533cf03"
 N4_FIXED = "N=4;table=33cc330055ff553355cc0c0c55ff0c3faaccf3c0aafff3f3ccccccccaaffaaff"
+
+
+def _random_dirs(parties, rng):
+    vecs = rng.normal(size=(parties, 3, 3))
+    return ObservableDirection(vecs / np.linalg.norm(vecs, axis=2, keepdims=True))
 
 
 def _dirs(party_settings):
@@ -66,7 +73,7 @@ def test_chsh_operator_reaches_tsirelson_eigenvalue(chsh_inequality, chsh_optima
 
 def test_zero_tensor_gives_zero_operator():
     zero = BellInequality(2, np.zeros((3, 3), dtype=np.int64), 16)
-    dirs = ObservableDirection.random(2, np.random.default_rng(0))
+    dirs = _random_dirs(2, np.random.default_rng(0))
     assert np.allclose(bell_operator(zero, dirs), 0)
 
 
@@ -89,7 +96,7 @@ def test_directions_of_the_wrong_shape_are_rejected():
 
 
 def test_directions_for_another_observer_count_are_rejected(chsh_inequality):
-    dirs = ObservableDirection.random(3, np.random.default_rng(0))
+    dirs = _random_dirs(3, np.random.default_rng(0))
     with pytest.raises(ValueError, match="^direction set and inequality disagree on observer count$"):
         bell_operator(chsh_inequality, dirs)
 
@@ -267,10 +274,16 @@ def _reference_seesaw(ineq, restarts, seed, improvement_threshold=1e-10, max_ite
     used = [sorted({s[i] for s, _ in terms}) for i in range(parties)]
     scale, cap = float(ineq.bound), float(algebraic_maximum(ineq))
     best_value, best_trace, restarts_used, accepted = -np.inf, (), 0, 0
-    for child in np.random.SeedSequence(seed).spawn(restarts):
+    for restart in range(restarts):
         restarts_used += 1
-        dirs = np.random.default_rng(child).normal(size=(parties, 3, 3))
-        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        # the start rule: random.Random(f"{seed}:{restart}") draws z = 2u - 1 and phi = 2 pi u'
+        # per (observer, setting), in order
+        draw = random.Random(f"{seed}:{restart}").random
+        dirs = np.empty((parties, 3, 3))
+        for party, setting in np.ndindex(parties, 3):
+            z, phi = 2 * draw() - 1, 2 * math.pi * draw()
+            rho = math.sqrt(1 - z * z)
+            dirs[party, setting] = rho * math.cos(phi), rho * math.sin(phi), z
         trace, prev, last_gain = [], -np.inf, np.nan
         for iteration in range(1, max_iterations + 1):
             eigvals, eigvecs = np.linalg.eigh(_reference_operator(ineq, ObservableDirection(dirs.copy())))
@@ -321,7 +334,7 @@ def test_bell_operator_matches_per_term_reference(reference_inequalities):
     for ineq in reference_inequalities:
         tol = 1e-12 * algebraic_maximum(ineq)
         for _ in range(3):
-            dirs = ObservableDirection.random(ineq.parties, rng)
+            dirs = _random_dirs(ineq.parties, rng)
             assert np.abs(bell_operator(ineq, dirs) - _reference_operator(ineq, dirs)).max() <= tol
 
 
@@ -331,7 +344,7 @@ def test_observer_scores_match_per_setting_reference(reference_inequalities):
         parties, terms = ineq.parties, _terms(ineq)
         tol = 1e-12 * algebraic_maximum(ineq)
         for _ in range(3):
-            dirs = ObservableDirection.random(parties, rng).directions
+            dirs = _random_dirs(parties, rng).directions
             state = rng.normal(size=2 ** parties) + 1j * rng.normal(size=2 ** parties)
             state /= np.linalg.norm(state)
             corr = quantum._correlations(state, parties)
@@ -412,6 +425,54 @@ def test_seesaw_state_has_canonical_phase(chsh_inequality, mermin_inequality):
             assert np.abs(rephased - report.state).max() < 1e-15
         revalue = evaluate_state(ineq, report.directions, report.state)
         assert revalue == pytest.approx(report.quantum_max, abs=1e-9)
+
+
+# ── start rule ──────────────────────────────────────────────────────────────
+
+
+def _first_starts(monkeypatch, ineq, restarts, seed):
+    """The directions of the see-saw's first stacked operator, one row per restart."""
+    real, seen = quantum._operators, []
+
+    def spy(coeffs, dirs):
+        seen.append(dirs.copy())
+        return real(coeffs, dirs)
+
+    monkeypatch.setattr(quantum, "_operators", spy)
+    seesaw_maximize(ineq, restarts=restarts, seed=seed)
+    return seen[0]
+
+
+def test_restart_zero_start_is_pinned(chsh_inequality, monkeypatch):
+    # a drift in random.Random's stream, in the draw order or in the map to the sphere moves these
+    expected = [[[-0.8834771170224667, -0.43677396324609014, 0.16940097026869116],
+                 [0.8108910045043655, 0.5602079412744836, 0.1691828636325381],
+                 [0.15779207741527398, 0.8173823852645693, 0.5540647043118478]],
+                [[-0.11338543856509276, 0.7375006441338763, 0.6657601236357726],
+                 [0.05091140051222998, -0.6329102658226847, -0.7725494318903754],
+                 [0.5940609388127673, 0.8030262027775549, -0.047334116972378215]]]
+    [start] = _first_starts(monkeypatch, chsh_inequality, 1, 0)
+    assert np.abs(start - expected).max() <= 1e-15
+
+
+def test_a_restart_start_does_not_depend_on_the_restart_count(chsh_inequality, monkeypatch):
+    two, five = (_first_starts(monkeypatch, chsh_inequality, n, 3) for n in (2, 5))
+    assert two.shape == (2, 2, 3, 3) and five.shape == (5, 2, 3, 3)
+    assert np.array_equal(two, five[:2])
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4])
+def test_starts_are_unit_vectors(parties):
+    for seed, restart in np.ndindex(10, 4):
+        start = quantum._start(parties, seed, restart)
+        assert start.shape == (parties, 3, 3)
+        assert np.abs(np.linalg.norm(start, axis=2) - 1).max() <= 1e-12
+        ObservableDirection(start)
+
+
+def test_seeds_give_distinct_starts():
+    starts = [quantum._start(2, seed, 0) for seed in range(10)]
+    assert len({start.tobytes() for start in starts}) == 10
 
 
 # ── symmetry invariance of the see-saw value ────────────────────────────────
@@ -499,21 +560,13 @@ def test_mixed_batch_drops_later_restarts_at_the_cap(chsh_inequality, mermin_ine
 
 def _start_from(monkeypatch, base, signs):
     """Make restart r of the see-saw start from signs[r] * base."""
-
-    class Scripted:  # stands in for np.random.default_rng(child)
-        def __init__(self, child):
-            self.sign = signs[child.spawn_key[-1]]
-
-        def normal(self, size):
-            return self.sign * base
-
-    monkeypatch.setattr(np.random, "default_rng", Scripted)
+    monkeypatch.setattr(quantum, "_start", lambda parties, seed, restart: signs[restart] * base)
 
 
 def test_a_tie_between_restarts_keeps_the_earliest(chsh_inequality, monkeypatch):
     # negating both observers' directions leaves every value the same to the bit,
     # but not the directions
-    base = np.random.default_rng(3).normal(size=(2, 3, 3))
+    base = _random_dirs(2, np.random.default_rng(3)).directions
     _start_from(monkeypatch, base, (1.0, -1.0))
     one, two = (seesaw_maximize(chsh_inequality, restarts=n) for n in (1, 2))
     _start_from(monkeypatch, base, (-1.0,))
