@@ -28,7 +28,10 @@ def main():
     print("Lifting CHSH to a CH-type constraint:")
     print(f"  constant term: {lifted.constant}")
     print(f"  marginal coefficients per observer: {lifted.marginal_coeffs}")
-    print(f"  correlation block: {lifted.correlations}")
+    # the correlations are the entries with two or more active observers
+    block = tuple((tuple(int(x) for x in pos), int(chsh.coeffs[tuple(pos)]))
+                  for pos in np.argwhere(chsh.coeffs) if np.count_nonzero(pos) >= 2)
+    print(f"  correlation block: {block}")
     print(f"  sharp bounds over 16 lifted vertices: {lifted.bounds} (degenerate={lifted.degenerate})")
     print("  i.e. -2 <= 1 + <B_1> + <A_1> - E_11 <= 2 in units of the coefficient 8")
 

@@ -26,7 +26,6 @@ from .polytope import (
     LhvBounds,
     TightnessCertificate,
     certify_tightness,
-    chsh_pattern,
     fraction_free_rank,
     inequality_from_sign_function,
     lhv_max,
@@ -65,7 +64,6 @@ __all__ = [
     "bell_operator",
     "canonicalize",
     "certify_tightness",
-    "chsh_pattern",
     "classify",
     "enumerate_admissible",
     "evaluate_state",

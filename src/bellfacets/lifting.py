@@ -29,18 +29,17 @@ from .polytope import BellInequality, _vertex_values, inequality_from_sign_funct
 
 @dataclass(frozen=True, eq=False)
 class LiftedInequality:
-    """A facet reread over lifted vertices: constant, marginals, correlations.
+    """A facet reread over lifted vertices: constant, marginals and bounds.
 
     ``marginal_coeffs[i]`` holds observer i's two marginal coefficients
-    (settings 1 and 2); ``correlations`` lists the remaining nonzero entries
-    (two or more active observers) as (settings tuple, coefficient) pairs.
-    ``bounds`` are the exact (min, max) over all lifted vertices, each
-    attained; ``degenerate`` flags a constant expression.
+    (settings 1 and 2); the correlations (two or more active observers) are
+    the tensor's other nonzero entries.  ``bounds`` are the exact (min, max)
+    over all lifted vertices, each attained; ``degenerate`` flags a constant
+    expression.
     """
 
     constant: int
     marginal_coeffs: tuple[tuple[int, int], ...]
-    correlations: tuple[tuple[tuple[int, ...], int], ...]
     bounds: tuple[int, int]
     degenerate: bool
 
@@ -53,15 +52,9 @@ def lift(ineq: BellInequality) -> LiftedInequality:
     constant = int(ineq.coeffs[(0,) * parties])
     marginals = [tuple(int(c) for c in ineq.coeffs[(0,) * i + (slice(1, 3),) + (0,) * (parties - 1 - i)])
                  for i in range(parties)]
-    correlations = tuple(
-        (tuple(int(x) for x in pos), int(ineq.coeffs[tuple(pos)]))
-        for pos in np.argwhere(ineq.coeffs)
-        if np.count_nonzero(pos) >= 2
-    )
     return LiftedInequality(
         constant=constant,
         marginal_coeffs=tuple(marginals),
-        correlations=correlations,
         bounds=(low, high),
         degenerate=low == high,
     )

@@ -12,7 +12,6 @@ import numpy as np
 from bellfacets import (
     SignFunction,
     certify_tightness,
-    chsh_pattern,
     enumerate_admissible,
     inequality_from_sign_function,
     is_factorable,
@@ -25,6 +24,7 @@ from bellfacets import (
     vertex_matrix,
 )
 from bellfacets.cli import EXIT_OK, main
+from chsh import chsh_pattern
 from exhaustive import exhaustive_two
 
 ROOT2 = np.sqrt(2.0)

@@ -15,7 +15,8 @@ from bellfacets import (
 )
 from bellfacets import enumeration, symmetry
 from bellfacets.enumeration import classify
-from bellfacets.polytope import BellInequality, chsh_pattern
+from bellfacets.polytope import BellInequality
+from chsh import chsh_pattern
 from exhaustive import exhaustive_two
 
 N2_ADMISSIBLE = 90      # established by the exhaustive 2^16 scan

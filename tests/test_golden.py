@@ -1,9 +1,9 @@
 """Exact outputs pinned to their bytes.
 
-Each file the CLI writes at N=2 (and the N=3 catalog, census and two-setting
-reduction) is checked against the sha256 of the bytes it had when the digests
-were recorded, so a refactor that changes any exact output fails here, not
-only a rerun diff.
+Each file the CLI writes at N=2 (and at N=3 the catalog, census, two-setting
+reduction, and the catalog's verify and lift outputs) is checked against the
+sha256 of the bytes it had when the digests were recorded, so a refactor that
+changes any exact output fails here, not only a rerun diff.
 """
 
 import hashlib
@@ -40,12 +40,17 @@ GOLDEN = {
                 "5aa024a94c11de6e54de069bcc3d9ec1aeaa1a7a9587b40a68674fe92a007f66"),
     "r3.csv": (["reduce", "--parties", "3", "--format", "csv"],
                "43c61cec4fbad85d4769f952f120482b243959e9b914772f8c35ff0e3bc096e0"),
+    "v3.json": (["verify", "--in", "e3.json"],
+                "f8e26dd99ea7cd79f84cdbbf30922f5dc9cca4e7b98eff38790e8f652823d716"),
+    "l3.json": (["lift", "--in", "e3.json"],
+                "ac0d7ed4b7a8420590b62c7280108be6fbcb4f783ce87efd3aa493c0be74fdae"),
 }
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    """Run every command once, in table order, so `verify`/`lift` read e2.json."""
+    """Run every command once, in table order, so `verify`/`lift` read the
+    catalog written above them."""
     out = tmp_path_factory.mktemp("golden")
     for name, (args, _) in GOLDEN.items():
         argv = [str(out / a) if a.endswith(".json") else a for a in args]

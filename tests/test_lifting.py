@@ -1,13 +1,17 @@
 from collections import Counter
+from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellfacets import (
+    BellInequality,
     SignFunction,
     canonicalize,
     certify_tightness,
-    chsh_pattern,
     enumerate_admissible,
     inequality_from_sign_function,
     is_factorable,
@@ -17,6 +21,7 @@ from bellfacets import (
     vertex_matrix,
 )
 from bellfacets import polytope
+from chsh import chsh_pattern
 
 
 # ── lifted vertices ─────────────────────────────────────────────────────────
@@ -52,7 +57,6 @@ def test_lift_chsh(chsh_inequality):
     assert not lifted.degenerate
     assert lifted.constant == 8
     assert lifted.marginal_coeffs == ((8, 0), (8, 0))
-    assert lifted.correlations == (((1, 1), -8),)
     values = vertex_matrix(2) @ chsh_inequality.coeffs.ravel()
     assert values.min() == -16 and values.max() == 16  # both bounds attained
 
@@ -76,6 +80,36 @@ def test_lift_bounds_attained_for_all_canonical_classes(census2):
         values = vertex_matrix(2) @ ineq.coeffs.ravel()
         assert lifted.bounds == (int(values.min()), int(values.max()))
         assert -16 <= lifted.bounds[0] <= lifted.bounds[1] <= 16
+
+
+def _brute_force_bounds(ineq):
+    """(min, max) of the tensor over the 4^N lifted vertices (1, m1, m2) x ...,
+    each built from its outcomes and summed in Python ints."""
+    triples = [(1, m1, m2) for m1, m2 in product((1, -1), repeat=2)]
+    flat = ineq.coeffs.ravel().tolist()
+    values = [sum(c * prod(entry) for c, entry in zip(flat, product(*choice)))
+              for choice in product(triples, repeat=ineq.parties)]
+    return min(values), max(values)
+
+
+@st.composite
+def _integer_tensors(draw):
+    # a constant-only tensor now and then, so both sides of `degenerate` are drawn
+    parties = draw(st.sampled_from((2, 3)))
+    entries = st.one_of(st.integers(-4, 4), st.integers(-(2**40), 2**40))
+    flat = draw(st.lists(entries, min_size=3 ** parties, max_size=3 ** parties))
+    if draw(st.booleans()):
+        flat[1:] = [0] * (len(flat) - 1)
+    return BellInequality(parties, np.array(flat, dtype=np.int64).reshape((3,) * parties), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ineq=_integer_tensors())
+def test_lift_bounds_match_a_brute_force_off_the_family(ineq):
+    lifted = lift(ineq)
+    low, high = _brute_force_bounds(ineq)
+    assert lifted.bounds == (low, high)
+    assert lifted.degenerate == (low == high)
 
 
 def test_family_members_lift_to_the_original_bounds(census2, census3):

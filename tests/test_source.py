@@ -29,3 +29,11 @@ def test_census_imports_only_tables_and_orbits():
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("bellfacets"))
     }
     assert imported == {"fourier", "symmetry"}
+
+
+def test_all_names_are_bound_once_and_sorted():
+    # a deletion that leaves a stale export fails here, not only at `import *`
+    names = bellfacets.__all__
+    assert [name for name in names if not hasattr(bellfacets, name)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
