@@ -24,20 +24,22 @@ from bellfacets import (
 
 def main():
     chsh = inequality_from_sign_function(SignFunction.from_text("N=2;table=a0a0"))
-    lifted = lift(chsh)
     print("Lifting CHSH to a CH-type constraint:")
-    print(f"  constant term: {lifted.constant}")
-    print(f"  marginal coefficients per observer: {lifted.marginal_coeffs}")
+    # the constant, the marginals and the correlations are entries of the tensor
+    flat = chsh.coeffs.ravel().tolist()
+    print(f"  constant term: {flat[0]}")
+    # observer i's setting-n marginal sits at flat index n * 3^(N-1-i)
+    marginals = tuple(tuple(flat[n * 3 ** (1 - i)] for n in (1, 2)) for i in range(2))
+    print(f"  marginal coefficients per observer: {marginals}")
     # the correlations are the entries with two or more active observers
     block = tuple((tuple(int(x) for x in pos), int(chsh.coeffs[tuple(pos)]))
                   for pos in np.argwhere(chsh.coeffs) if np.count_nonzero(pos) >= 2)
     print(f"  correlation block: {block}")
-    print(f"  sharp bounds over 16 lifted vertices: {lifted.bounds} (degenerate={lifted.degenerate})")
+    print(f"  sharp bounds over 16 lifted vertices: {lift(chsh)}")
     print("  i.e. -2 <= 1 + <B_1> + <A_1> - E_11 <= 2 in units of the coefficient 8")
 
-    trivial = lift(inequality_from_sign_function(SignFunction(2, 0)))
-    print(f"\nLifting |E_00| <= 1 collapses to the constant: bounds {trivial.bounds}, "
-          f"degenerate={trivial.degenerate}")
+    low, high = lift(inequality_from_sign_function(SignFunction(2, 0)))
+    print(f"\nLifting |E_00| <= 1 collapses to the constant: equal bounds ({low}, {high})")
 
     print("\nTwo-setting reduction (functions of first variables only):")
     for parties in (2, 3):

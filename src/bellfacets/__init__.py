@@ -42,11 +42,7 @@ from .quantum import (
     seesaw_maximize,
     seesaw_maximize_all,
 )
-from .lifting import (
-    LiftedInequality,
-    lift,
-    two_setting_reduction,
-)
+from .lifting import lift, two_setting_reduction
 
 __version__ = "0.1.0"
 
@@ -55,7 +51,6 @@ __all__ = [
     "CanonicalClass",
     "EnumerationReport",
     "LhvBounds",
-    "LiftedInequality",
     "ObservableDirection",
     "QuantumValueReport",
     "SignFunction",

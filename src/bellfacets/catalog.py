@@ -17,7 +17,6 @@ import numpy as np
 
 from .enumeration import EnumerationReport
 from .fourier import MAX_PARTIES, MIN_PARTIES, SignFunction, is_admissible
-from .lifting import LiftedInequality
 from .polytope import BellInequality, TightnessCertificate, sign_function_of
 from .quantum import QuantumValueReport
 
@@ -98,6 +97,19 @@ def entry_certificate(entry: dict[str, Any]) -> TightnessCertificate:
     return TightnessCertificate(entry["tight"], entry["saturating_count"], entry["rank"])
 
 
+def entry_lifted(entry: dict[str, Any]) -> tuple[int, int] | None:
+    """The lifted bounds an entry records, or None when it holds no block; a
+    malformed block raises one ValueError."""
+    if "lifted" not in entry:
+        return None
+    if not isinstance(block := entry["lifted"], dict):
+        raise ValueError(f"lifted must be an object, got {block!r}")
+    bounds = block.get("bounds")
+    if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_int, bounds))):
+        raise ValueError(f"lifted bounds must be a list of two integers, got {bounds!r}")
+    return bounds[0], bounds[1]
+
+
 def quantum_block(report: QuantumValueReport, seed: int, restarts: int) -> dict[str, Any]:
     return {
         "max": float(report.quantum_max),
@@ -113,15 +125,6 @@ def quantum_block(report: QuantumValueReport, seed: int, restarts: int) -> dict[
         "restarts_used": report.restarts_used,
         "converged": report.converged,
         "iterations": len(report.objective_trace) // 2,  # state steps of the reported restart
-    }
-
-
-def lifted_block(lifted: LiftedInequality) -> dict[str, Any]:
-    return {
-        "constant": lifted.constant,
-        "marginal_coeffs": [list(pair) for pair in lifted.marginal_coeffs],
-        "bounds": [lifted.bounds[0], lifted.bounds[1]],
-        "degenerate": lifted.degenerate,
     }
 
 
@@ -161,16 +164,17 @@ def read_json(path: str | Path) -> Any:
 
 
 def catalog_csv(rows: list[dict[str, Any]]) -> str:
-    """Flat CSV export, one line per row, columns in the first row's key
-    order; a coeffs list becomes the settings columns E_..."""
+    """Flat CSV export, one line per row, columns in the order the rows first
+    name their keys (empty where a row lacks one); a coeffs list becomes the
+    settings columns E_..."""
     if not rows:
         return ""
-    keys = list(rows[0])
+    keys = list(dict.fromkeys(k for row in rows for k in row))
     labels = settings_labels(int(rows[0]["parties"])) if "coeffs" in keys else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([name for k in keys for name in (labels if k == "coeffs" else [k])])
-    writer.writerows([v for k in keys for v in (row[k] if k == "coeffs" else [row[k]])] for row in rows)
+    writer.writerows([v for k in keys for v in (row[k] if k == "coeffs" else [row.get(k)])] for row in rows)
     return buf.getvalue()
 
 

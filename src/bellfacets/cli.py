@@ -7,12 +7,13 @@ classify   write the symmetry census (class representatives and counts)
 verify     re-check bounds and tightness certificates of a catalog
 violate    append see-saw quantum reports to a catalog
 reduce     write the catalog of two-setting (first-variable) inequalities
-lift       append lifted (marginal + correlation) blocks to a catalog
+lift       append lifted blocks (bounds over the lifted vertices) to a catalog
 
 Every catalog entry a command writes (enumerate, reduce) or reads (verify,
 lift, violate) is checked by one rule: its sign function is the one read
-off its coefficients, its bound is the brute-force LHV maximum, and its
-stored certificate is the recomputed one, tight.  verify writes these
+off its coefficients, its bound is the brute-force LHV maximum, its stored
+certificate is the recomputed one, tight, and its lifted bounds, where it
+holds a lifted block, are the recomputed ones.  verify writes these
 verdicts; each command writes its output, then prints one line per failing
 entry naming the failed checks.  Every output names each sign function by
 its canonical text.
@@ -81,13 +82,16 @@ def build_parser() -> _Parser:
 
 
 # the verdict's checks, in row order: an entry passes when all of them hold
-_CHECKS = ("coeffs_ok", "bound_ok", "tight", "certificate_ok")
+# (lifted_ok only in the rows of entries that hold a lifted block)
+_CHECKS = ("coeffs_ok", "bound_ok", "tight", "certificate_ok", "lifted_ok")
 
 
-def _verdict(entry: dict, ineq: BellInequality, stored: TightnessCertificate) -> dict[str, Any]:
+def _verdict(entry: dict, ineq: BellInequality, stored: TightnessCertificate,
+             lifted: tuple[int, int] | None = None) -> dict[str, Any]:
     """The row verify writes for one entry: its sign function, as canonical
     text, is the one read off its coefficients, its bound is the LHV maximum,
-    and its stored certificate is the recomputed one, tight."""
+    its stored certificate is the recomputed one, tight, and its stored
+    lifted bounds, if any, are the recomputed ones."""
     bounds, cert = lhv_max(ineq), certify_tightness(ineq)
     claimed = SignFunction.from_text(entry["sign_function"])
     row = {
@@ -101,7 +105,9 @@ def _verdict(entry: dict, ineq: BellInequality, stored: TightnessCertificate) ->
         "rank": cert.rank,
         "certificate_ok": cert == stored,
     }
-    row["pass"] = all(row[key] for key in _CHECKS)
+    if lifted is not None:
+        row["lifted_ok"] = lifted == lift(ineq)
+    row["pass"] = all(row.get(key, True) for key in _CHECKS)
     return row
 
 
@@ -113,14 +119,15 @@ def _read_catalog(args: argparse.Namespace) -> tuple[list[dict], list[BellInequa
     entries = cat.read_json(args.input_path)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError(f"{args.input_path} is not a catalog: expected a JSON list of objects")
-    inequalities, stored = [], []
+    inequalities, stored, lifted = [], [], []
     for index, entry in enumerate(entries):
         try:
             inequalities.append(cat.entry_inequality(entry))
             stored.append(cat.entry_certificate(entry))
+            lifted.append(cat.entry_lifted(entry))
         except ValueError as exc:
             raise ValueError(f"catalog entry {index}: {exc}") from None
-    verdicts = [_verdict(*row) for row in zip(entries, inequalities, stored)]
+    verdicts = [_verdict(*row) for row in zip(entries, inequalities, stored, lifted)]
     for entry, verdict in zip(entries, verdicts):
         entry["sign_function"] = verdict["sign_function"]
     return entries, inequalities, verdicts
@@ -129,7 +136,7 @@ def _read_catalog(args: argparse.Namespace) -> tuple[list[dict], list[BellInequa
 def _findings(command: str, verdicts: list[dict]) -> int:
     """One stderr line per failing entry, naming its failed checks; the exit status."""
     for index, verdict in enumerate(verdicts):
-        failed = [key for key in _CHECKS if not verdict[key]]
+        failed = [key for key in _CHECKS if not verdict.get(key, True)]
         if failed:
             print(f"bellfacets {command}: entry {index} ({verdict['sign_function']}) fails "
                   f"{', '.join(failed)}", file=sys.stderr)
@@ -180,7 +187,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_lift(args: argparse.Namespace) -> int:
     entries, inequalities, verdicts = _read_catalog(args)
     for entry, ineq in zip(entries, inequalities):
-        entry["lifted"] = cat.lifted_block(lift(ineq))
+        entry["lifted"] = {"bounds": list(lift(ineq))}
     cat.write_json(args.output_path, entries)
     return _findings(args.command, verdicts)
 

@@ -5,6 +5,7 @@ Criteria sampling note: the three-observer family has exactly 76 canonical
 classes, so the per-class checks cover all of them exhaustively.
 """
 
+import json
 import time
 
 import numpy as np
@@ -195,20 +196,20 @@ def test_criterion_09_seesaw_reference_values(chsh_inequality, mermin_inequality
 
 
 def test_criterion_10_ch_lifting(chsh_inequality):
-    lifted = lift(chsh_inequality)
+    bounds = lift(chsh_inequality)
     values = vertex_matrix(2) @ chsh_inequality.coeffs.ravel()
-    attained = lifted.bounds == (int(values.min()), int(values.max()))
+    attained = bounds == (int(values.min()), int(values.max()))
     subset_ok = all(
         np.abs(vertex_matrix(2) @ i.coeffs.ravel()).max() <= 16
         for i in _inequalities(2, (s.table for s in enumerate_admissible(2)))
     )
-    degenerate = lift(inequality_from_sign_function(SignFunction(2, 0)))
-    ok = attained and subset_ok and degenerate.degenerate and not lifted.degenerate
+    low, high = lift(inequality_from_sign_function(SignFunction(2, 0)))
+    ok = attained and subset_ok and low == high and bounds[0] != bounds[1]
     _verdict(
         10,
         ok,
-        f"lifted CHSH bounds {lifted.bounds} attained; every facet holds on "
-        f"lifted vertices; constant lift flagged degenerate",
+        f"lifted CHSH bounds {bounds} attained; every facet holds on "
+        f"lifted vertices; constant lift has equal bounds",
     )
 
 
@@ -224,6 +225,9 @@ def test_criterion_11_pipeline_byte_determinism(tmp_path):
                      "--seed", "7", "--restarts", "8"]) == EXIT_OK
         assert main(["lift", "--in", str(d / "violated.json"),
                      "--out", str(d / "lifted.json")]) == EXIT_OK
+        assert main(["verify", "--in", str(d / "lifted.json"),
+                     "--out", str(d / "relifted.json")]) == EXIT_OK
+        assert all(row["lifted_ok"] for row in json.loads((d / "relifted.json").read_text()))
         assert main(["classify", "--parties", "2", "--out", str(d / "census.json")]) == EXIT_OK
         assert main(["reduce", "--parties", "2", "--out", str(d / "reduced.json")]) == EXIT_OK
         outputs.append(

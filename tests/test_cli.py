@@ -261,16 +261,122 @@ def test_enumerate_three_observers(tmp_path):
     assert all(e["bound"] == 64 and e["tight"] and e["rank"] == 27 for e in entries)
 
 
-def test_lift_appends_blocks(catalog2, tmp_path):
+def _reverify(path, tmp_path, capsys):
+    """verify's exit status and stderr on a lift output, whose every row holds lifted_ok."""
+    rows = tmp_path / "reverified.json"
+    capsys.readouterr()
+    code = run_cli("verify", "--in", path, "--out", rows)
+    assert all(row["lifted_ok"] for row in json.loads(rows.read_text()))
+    return code, capsys.readouterr().err
+
+
+def test_lift_appends_blocks(catalog2, tmp_path, capsys):
     out = tmp_path / "lifted.json"
     assert run_cli("lift", "--in", catalog2, "--out", out) == EXIT_OK
     entries = json.loads(out.read_text())
     for entry in entries:
         block = entry["lifted"]
-        assert set(block) == {"constant", "marginal_coeffs", "bounds", "degenerate"}
+        assert set(block) == {"bounds"}
         low, high = block["bounds"]
         assert -16 <= low <= high <= 16
-    assert any(e["lifted"]["degenerate"] for e in entries)  # the constant class
+    # the constant class: its lifted bounds are equal
+    assert [e["lifted"]["bounds"] for e in entries if not any(e["coeffs"][1:])] == [[16, 16]]
+    assert _reverify(out, tmp_path, capsys) == (EXIT_OK, "")
+
+
+def test_lift_reads_blocks_written_before_the_bounds_stood_alone(catalog2, tmp_path, capsys):
+    # older blocks also hold constant, marginal_coeffs and degenerate; readers ignore them
+    entries = json.loads(catalog2.read_text())
+    for entry in entries:
+        entry["lifted"] = {"bounds": [-16, 16], "constant": 0, "marginal_coeffs": [], "degenerate": False}
+    entries[0]["lifted"]["bounds"] = [16, 16]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(entries))
+    out = tmp_path / "relifted.json"
+    capsys.readouterr()
+    assert run_cli("lift", "--in", old, "--out", out) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert all(set(e["lifted"]) == {"bounds"} for e in json.loads(out.read_text()))
+
+
+# a lifted block whose bounds are false is a finding; a malformed one is a malformed entry
+_LIFTED_CASES = [
+    pytest.param({"bounds": [-1, 1]}, EXIT_FINDINGS, "entry 2 (N=2;table=ff00) fails lifted_ok",
+                 id="false-bounds"),
+    pytest.param({"bounds": [1]}, EXIT_ERROR,
+                 "catalog entry 2: lifted bounds must be a list of two integers, got [1]", id="one-bound"),
+    pytest.param(5, EXIT_ERROR, "catalog entry 2: lifted must be an object, got 5", id="not-an-object"),
+    pytest.param({}, EXIT_ERROR,
+                 "catalog entry 2: lifted bounds must be a list of two integers, got None", id="no-bounds"),
+    pytest.param({"bounds": [-16, True]}, EXIT_ERROR,
+                 "catalog entry 2: lifted bounds must be a list of two integers, got [-16, True]",
+                 id="bool-bound"),
+    pytest.param({"bounds": [-16.0, 16]}, EXIT_ERROR,
+                 "catalog entry 2: lifted bounds must be a list of two integers, got [-16.0, 16]",
+                 id="float-bound"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "lift", "violate"])
+@pytest.mark.parametrize("block, code, line", _LIFTED_CASES)
+def test_every_reader_judges_the_lifted_block(command, block, code, line, catalog2, tmp_path, capsys,
+                                              monkeypatch):
+    if code == EXIT_ERROR:
+        monkeypatch.setattr(cli, "seesaw_maximize_all", _no_seesaw)
+    lifted = tmp_path / "lifted.json"
+    assert run_cli("lift", "--in", catalog2, "--out", lifted) == EXIT_OK
+    entries = json.loads(lifted.read_text())
+    entries[2]["lifted"] = block
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(entries))
+    out = tmp_path / "out.json"
+    extra = ("--restarts", 1) if command == "violate" else ()
+    capsys.readouterr()
+    assert run_cli(command, "--in", bad, "--out", out, *extra) == code
+    assert capsys.readouterr().err == f"bellfacets {command}: {line}\n"
+    assert out.exists() == (code == EXIT_FINDINGS)
+    if code == EXIT_FINDINGS and command != "verify":
+        # lift writes the true bounds in place of the false ones; violate copies the block
+        stored = json.loads(out.read_text())[2]["lifted"]["bounds"]
+        assert stored == ([-16, 16] if command == "lift" else [-1, 1])
+
+
+def test_certificate_fields_are_read_before_the_lifted_block(catalog2, tmp_path, capsys):
+    entries = json.loads(catalog2.read_text())
+    entries[2].update(rank="9", lifted=5)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert run_cli("verify", "--in", bad, "--out", tmp_path / "out.json") == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "bellfacets verify: catalog entry 2: rank must be a non-negative integer, got '9'\n")
+
+
+@pytest.mark.parametrize("holders, header_tail", [
+    pytest.param({0}, ["certificate_ok", "lifted_ok", "pass"], id="only-first-holds-a-block"),
+    pytest.param({1, 2, 3, 4, 5}, ["certificate_ok", "pass", "lifted_ok"], id="only-first-lacks-one"),
+])
+def test_verify_csv_of_a_partly_lifted_catalog(holders, header_tail, catalog2, tmp_path, capsys):
+    # the columns are the union of the rows' keys in first-seen order, empty where a row lacks one
+    lifted = tmp_path / "lifted.json"
+    assert run_cli("lift", "--in", catalog2, "--out", lifted) == EXIT_OK
+    entries = json.loads(lifted.read_text())
+    for k, entry in enumerate(entries):
+        if k not in holders:
+            del entry["lifted"]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(entries))
+    out = tmp_path / "v.csv"
+    capsys.readouterr()
+    assert run_cli("verify", "--in", mixed, "--out", out, "--format", "csv") == EXIT_OK
+    assert capsys.readouterr().err == ""
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header[-3:] == header_tail
+    assert header[:-3] == ["sign_function", "coeffs_ok", "lhv_max", "lhv_min", "bound_ok", "tight",
+                           "saturating_count", "rank"]
+    column = header.index("lifted_ok")
+    assert [row[column] for row in rows] == ["True" if k in holders else "" for k in range(6)]
+    assert all(row[header.index("pass")] == "True" for row in rows)
 
 
 def test_classify_output_and_determinism(tmp_path):
@@ -502,6 +608,9 @@ def test_every_reader_checks_every_claim(command, tamper, failed, catalog2, tmp_
     written = json.loads(out.read_text())
     assert len(written) == 6
     assert written[2]["sign_function"] == name
+    if command == "lift":  # the block holds the stored coefficients' bounds: only the old claims fail
+        assert _reverify(out, tmp_path, capsys) == (
+            EXIT_FINDINGS, f"bellfacets verify: entry 2 ({name}) fails {failed}\n")
 
 
 # a non-positive bound is malformed while reading, for every reader; violate's ids are unprefixed
@@ -580,7 +689,7 @@ def test_lift_tests_each_entry_for_admissibility_once(catalog2, tmp_path, monkey
 
 @pytest.mark.parametrize("command, field, value", [
     ("verify", "parties", 9), ("lift", "parties", 9), ("violate", "parties", 9), ("verify", "tight", "yes"),
-    ("violate", "bound", 0), ("violate", "sign_function", "N=2;table=0001"),
+    ("violate", "bound", 0), ("violate", "sign_function", "N=2;table=0001"), ("lift", "lifted", 5),
 ])
 def test_malformed_entry_after_a_finding_is_one_line_error(command, field, value, catalog2, tmp_path,
                                                            capsys):
@@ -699,7 +808,7 @@ N4_TEXT = "N=4;table=33cc330055ff553355cc0c0c55ff0c3faaccf3c0aafff3f3ccccccccaaf
 N4_SECOND_TEXT = "N=4;table=35ac35accccccccc35ac35accccccccc3a5c3a5c33aa33aa3a5c3a5c33aa33aa"
 
 
-def test_four_observer_entry_through_verify_lift_violate(tmp_path):
+def test_four_observer_entry_through_verify_lift_violate(tmp_path, capsys):
     ineq = inequality_from_sign_function(SignFunction.from_text(N4_TEXT))
     entry = {
         "parties": 4,
@@ -721,6 +830,7 @@ def test_four_observer_entry_through_verify_lift_violate(tmp_path):
     assert run_cli("lift", "--in", catalog, "--out", lifted) == EXIT_OK
     low, high = json.loads(lifted.read_text())[0]["lifted"]["bounds"]
     assert -256 <= low <= high <= 256
+    assert _reverify(lifted, tmp_path, capsys) == (EXIT_OK, "")
     assert run_cli("violate", "--in", catalog, "--out", violated,
                    "--restarts", 1, "--seed", 7) == EXIT_OK
     assert json.loads(violated.read_text())[0]["quantum"]["ratio"] >= 1

@@ -7,6 +7,7 @@ changes any exact output fails here, not only a rerun diff.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -29,7 +30,7 @@ GOLDEN = {
     "v2.csv": (["verify", "--in", "e2.json", "--format", "csv"],
                "72ccbdf64a93a56a91c50258a0510e2c36c814f97171fb23ebeaffd2da856223"),
     "l2.json": (["lift", "--in", "e2.json"],
-                "c5f676952086d2f51718f4aa1a4348876ad3062c072ddbc0662c888b6beb41a8"),
+                "6d76905a912e0b08d9791ad022dab970d905164aa541fd12d1b30b660fbfd3ba"),
     "e3.json": (["enumerate", "--parties", "3"],
                 "5c71bf82a2e98dad3382aa057e4db4ac1d9de0d9306ce75852eefec7459bf7d4"),
     "e3.csv": (["enumerate", "--parties", "3", "--format", "csv"],
@@ -43,7 +44,7 @@ GOLDEN = {
     "v3.json": (["verify", "--in", "e3.json"],
                 "f8e26dd99ea7cd79f84cdbbf30922f5dc9cca4e7b98eff38790e8f652823d716"),
     "l3.json": (["lift", "--in", "e3.json"],
-                "ac0d7ed4b7a8420590b62c7280108be6fbcb4f783ce87efd3aa493c0be74fdae"),
+                "fad13b8da1f1248dc616f48c433ed90fa803bdc2f0020e7cec633774798d9357"),
 }
 
 
@@ -62,3 +63,11 @@ def outputs(tmp_path_factory):
 def test_output_bytes_are_pinned(outputs, name):
     digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", ["l2.json", "l3.json"])
+def test_verify_passes_on_lift_outputs(outputs, tmp_path, name):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--in", str(outputs / name), "--out", str(out)]) == EXIT_OK
+    rows = json.loads(out.read_text())
+    assert rows and all(row["lifted_ok"] and row["pass"] for row in rows)

@@ -52,20 +52,21 @@ def test_every_facet_holds_on_lifted_vertices():
 
 
 def test_lift_chsh(chsh_inequality):
-    lifted = lift(chsh_inequality)
-    assert lifted.bounds == (-16, 16)
-    assert not lifted.degenerate
-    assert lifted.constant == 8
-    assert lifted.marginal_coeffs == ((8, 0), (8, 0))
+    assert lift(chsh_inequality) == (-16, 16)
+    # the CH reading's constant and marginals are entries of the tensor itself
+    assert chsh_inequality.coeffs[0, 0] == 8
+    assert chsh_inequality.coeffs[1:, 0].tolist() == [8, 0]
+    assert chsh_inequality.coeffs[0, 1:].tolist() == [8, 0]
     values = vertex_matrix(2) @ chsh_inequality.coeffs.ravel()
     assert values.min() == -16 and values.max() == 16  # both bounds attained
 
 
 def test_lift_of_constant_term_is_degenerate():
-    ineq = inequality_from_sign_function(SignFunction(2, 0))
-    lifted = lift(ineq)
-    assert lifted.bounds == (16, 16)
-    assert lifted.degenerate
+    assert lift(inequality_from_sign_function(SignFunction(2, 0))) == (16, 16)
+
+
+def test_lift_returns_python_ints(chsh_inequality):
+    assert all(type(b) is int for b in lift(chsh_inequality))
 
 
 def test_uniform_mixture_leaves_only_the_constant(chsh_inequality):
@@ -76,10 +77,10 @@ def test_uniform_mixture_leaves_only_the_constant(chsh_inequality):
 def test_lift_bounds_attained_for_all_canonical_classes(census2):
     for cls in census2.canonical_classes:
         ineq = inequality_from_sign_function(cls.representative)
-        lifted = lift(ineq)
+        low, high = lift(ineq)
         values = vertex_matrix(2) @ ineq.coeffs.ravel()
-        assert lifted.bounds == (int(values.min()), int(values.max()))
-        assert -16 <= lifted.bounds[0] <= lifted.bounds[1] <= 16
+        assert (low, high) == (int(values.min()), int(values.max()))
+        assert -16 <= low <= high <= 16
 
 
 def _brute_force_bounds(ineq):
@@ -94,7 +95,7 @@ def _brute_force_bounds(ineq):
 
 @st.composite
 def _integer_tensors(draw):
-    # a constant-only tensor now and then, so both sides of `degenerate` are drawn
+    # a constant-only tensor now and then, so equal and unequal bounds are both drawn
     parties = draw(st.sampled_from((2, 3)))
     entries = st.one_of(st.integers(-4, 4), st.integers(-(2**40), 2**40))
     flat = draw(st.lists(entries, min_size=3 ** parties, max_size=3 ** parties))
@@ -106,16 +107,16 @@ def _integer_tensors(draw):
 @settings(max_examples=60, deadline=None)
 @given(ineq=_integer_tensors())
 def test_lift_bounds_match_a_brute_force_off_the_family(ineq):
-    lifted = lift(ineq)
     low, high = _brute_force_bounds(ineq)
-    assert lifted.bounds == (low, high)
-    assert lifted.degenerate == (low == high)
+    assert lift(ineq) == (low, high)
+    constant_only = not ineq.coeffs.ravel()[1:].any()
+    assert (low == high) == constant_only
 
 
 def test_family_members_lift_to_the_original_bounds(census2, census3):
     # K[v] g = 2^(2N) s(v): the lifted bounds are +/-2^(2N), or (c, c) for a constant s
     for census in (census2, census3):
-        bounds = Counter(lift(inequality_from_sign_function(c.representative)).bounds
+        bounds = Counter(lift(inequality_from_sign_function(c.representative))
                          for c in census.canonical_classes)
         top = 4 ** census.parties
         assert bounds == {(-top, top): len(census.canonical_classes) - 1, (top, top): 1}
