@@ -1,13 +1,13 @@
 """Machine-readable catalogs: JSON and CSV serialization of results.
 
 Catalog bytes are deterministic for a given computation: keys are sorted,
-separators fixed, and no timestamps or timings are written.
+separators fixed, and no timestamps or timings are written.  The writers
+stream to the open file; no file's whole text is built in memory.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 from pathlib import Path
@@ -19,11 +19,6 @@ from .enumeration import EnumerationReport
 from .fourier import MAX_PARTIES, MIN_PARTIES, SignFunction, is_admissible
 from .polytope import BellInequality, TightnessCertificate, sign_function_of
 from .quantum import QuantumValueReport
-
-
-def settings_labels(parties: int) -> list[str]:
-    """Column names for the row-major flattened coefficient tensor."""
-    return ["E_" + "".join(map(str, digits)) for digits in itertools.product(range(3), repeat=parties)]
 
 
 def inequality_entry(
@@ -145,12 +140,10 @@ def classification_dict(report: EnumerationReport) -> dict[str, Any]:
     }
 
 
-def dump_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(dump_json(obj), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_json(path: str | Path) -> Any:
@@ -163,25 +156,23 @@ def read_json(path: str | Path) -> Any:
         raise ValueError(f"{path} nests too deeply to parse as JSON") from None
 
 
-def catalog_csv(rows: list[dict[str, Any]]) -> str:
-    """Flat CSV export, one line per row, columns in the order the rows first
-    name their keys (empty where a row lacks one); a coeffs list becomes the
-    settings columns E_..."""
-    if not rows:
-        return ""
-    keys = list(dict.fromkeys(k for row in rows for k in row))
-    labels = settings_labels(int(rows[0]["parties"])) if "coeffs" in keys else []
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([name for k in keys for name in (labels if k == "coeffs" else [k])])
-    writer.writerows([v for k in keys for v in (row[k] if k == "coeffs" else [row.get(k)])] for row in rows)
-    return buf.getvalue()
-
-
 def write_catalog(path: str | Path, entries: list[dict[str, Any]], fmt: str = "json") -> None:
+    """JSON, or flat CSV: one line per entry, columns in the order the entries
+    first name their keys (empty where an entry lacks one), a coeffs list
+    spread over the settings columns E_... of the row-major tensor; CSV rows
+    whose coeffs belong to different parties raise ValueError."""
     if fmt == "json":
-        write_json(path, entries)
-    elif fmt == "csv":
-        Path(path).write_text(catalog_csv(entries), encoding="utf-8")
-    else:
+        return write_json(path, entries)
+    if fmt != "csv":
         raise ValueError(f"unknown catalog format {fmt!r}")
+    keys = list(dict.fromkeys(k for row in entries for k in row))
+    parties = sorted({row["parties"] for row in entries if "coeffs" in row})
+    if len(parties) > 1:
+        raise ValueError(f"CSV rows mix the coeffs of parties {parties}")
+    digits = itertools.product(range(3), repeat=parties[0]) if parties else []
+    labels = ["E_" + "".join(map(str, d)) for d in digits]
+    with open(path, "w", encoding="utf-8") as fh:
+        if entries:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([name for k in keys for name in (labels if k == "coeffs" else [k])])
+            writer.writerows([v for k in keys for v in (row[k] if k == "coeffs" else [row.get(k)])] for row in entries)

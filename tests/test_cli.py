@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -802,6 +803,14 @@ def test_unknown_catalog_format_is_rejected(catalog2, tmp_path):
     assert not (tmp_path / "catalog.xml").exists()
 
 
+def test_csv_of_mixed_parties_is_rejected(chsh_inequality, mermin_inequality, tmp_path):
+    rows = [cat.inequality_entry(ineq, certify_tightness(ineq), canonical=False)
+            for ineq in (chsh_inequality, mermin_inequality)]
+    with pytest.raises(ValueError, match=r"^CSV rows mix the coeffs of parties \[2, 3\]$"):
+        cat.write_catalog(tmp_path / "mixed.csv", rows, "csv")
+    assert not (tmp_path / "mixed.csv").exists()
+
+
 # ── N=4 smoke path ──────────────────────────────────────────────────────────
 
 N4_TEXT = "N=4;table=33cc330055ff553355cc0c0c55ff0c3faaccf3c0aafff3f3ccccccccaaffaaff"
@@ -860,3 +869,38 @@ def test_four_observer_partial_set_through_verify(tmp_path, capsys):
     assert (row["lhv_max"], row["lhv_min"], row["bound_ok"]) == (512, -512, True)
     assert (row["saturating_count"], row["rank"], row["certificate_ok"]) == (142, 78, True)
     assert not row["pass"]
+
+
+def _peak_mb(write):
+    """The peak of Python allocations, in MB, while write() runs: a writer
+    that streams to the file stays far below the file's size, one that builds
+    the whole text first peaks at more than twice it."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def entry4():
+    ineq = inequality_from_sign_function(SignFunction.from_text(N4_TEXT))
+    return cat.inequality_entry(ineq, certify_tightness(ineq), canonical=False)
+
+
+def test_json_writer_streams_500_violate_entries(entry4, tmp_path):
+    catalog, violated, out = tmp_path / "catalog4.json", tmp_path / "q.json", tmp_path / "large.json"
+    catalog.write_text(json.dumps([entry4]))
+    assert run_cli("violate", "--in", catalog, "--out", violated, "--restarts", 1, "--seed", 7) == EXIT_OK
+    entries = json.loads(violated.read_text()) * 500
+    assert _peak_mb(lambda: cat.write_json(out, entries)) < 0.5  # of a 1.9 MB file
+    assert json.loads(out.read_text()) == entries
+
+
+def test_csv_writer_streams_5000_catalog_rows(entry4, tmp_path):
+    out = tmp_path / "large.csv"
+    assert _peak_mb(lambda: cat.write_catalog(out, [entry4] * 5000, "csv")) < 0.5  # of a 1.6 MB file
+    header, *rows = out.read_text().splitlines()
+    assert len(header.split(",")) == len(entry4) - 1 + 81
+    assert rows == rows[:1] * 5000

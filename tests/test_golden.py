@@ -1,9 +1,10 @@
 """Exact outputs pinned to their bytes.
 
 Each file the CLI writes at N=2 (and at N=3 the catalog, census, two-setting
-reduction, and the catalog's verify and lift outputs) is checked against the
-sha256 of the bytes it had when the digests were recorded, so a refactor that
-changes any exact output fails here, not only a rerun diff.
+reduction, the catalog's verify outputs in both formats and its lift output)
+is checked against the sha256 of the bytes it had when the digests were
+recorded, so a refactor that changes any exact output fails here, not only a
+rerun diff.
 """
 
 import hashlib
@@ -43,6 +44,8 @@ GOLDEN = {
                "43c61cec4fbad85d4769f952f120482b243959e9b914772f8c35ff0e3bc096e0"),
     "v3.json": (["verify", "--in", "e3.json"],
                 "f8e26dd99ea7cd79f84cdbbf30922f5dc9cca4e7b98eff38790e8f652823d716"),
+    "v3.csv": (["verify", "--in", "e3.json", "--format", "csv"],
+               "5e09be68ea10fad6e24bdc9c7ca159f78af6d4a5181aa51b5b0ceea15f820ab0"),
     "l3.json": (["lift", "--in", "e3.json"],
                 "fad13b8da1f1248dc616f48c433ed90fa803bdc2f0020e7cec633774798d9357"),
 }
@@ -71,3 +74,15 @@ def test_verify_passes_on_lift_outputs(outputs, tmp_path, name):
     assert main(["verify", "--in", str(outputs / name), "--out", str(out)]) == EXIT_OK
     rows = json.loads(out.read_text())
     assert rows and all(row["lifted_ok"] and row["pass"] for row in rows)
+
+
+def test_violate_and_lift_write_sorted_indented_json(outputs, tmp_path):
+    # the see-saw outputs carry floats, so their bytes are not pinned above;
+    # each file must still be the one layout json.dumps gives
+    violated, lifted = tmp_path / "q3.json", tmp_path / "lq3.json"
+    assert main(["violate", "--in", str(outputs / "e3.json"), "--out", str(violated),
+                 "--restarts", "4", "--seed", "7"]) == EXIT_OK
+    assert main(["lift", "--in", str(violated), "--out", str(lifted)]) == EXIT_OK
+    for path in (violated, lifted):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
