@@ -119,7 +119,7 @@ def quantum_block(report: QuantumValueReport, seed: int, restarts: int) -> dict[
         "restarts": restarts,
         "restarts_used": report.restarts_used,
         "converged": report.converged,
-        "iterations": len(report.objective_trace) // 2,  # state steps of the reported restart
+        "iterations": report.iterations,
     }
 
 

@@ -78,7 +78,7 @@ class SignFunction:
 
     def __post_init__(self):
         _check_parties(self.parties)
-        if not isinstance(self.table, int):
+        if not isinstance(self.table, int) or isinstance(self.table, bool):
             raise ValueError(f"table must be an int, got {type(self.table).__name__}")
         if not 0 <= self.table < (1 << table_size(self.parties)):
             raise ValueError(f"table has bits beyond 2^(2N) entries for N={self.parties}")

@@ -32,6 +32,7 @@ rank-deficient set is eliminated again over the integers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -146,8 +147,12 @@ def fraction_free_rank(rows: Sequence[Sequence[int]]) -> int:
     The rank modulo p is a lower bound on the rank over the rationals (a
     minor nonzero mod p is a nonzero integer), and no rank exceeds
     min(rows, cols); so when the rank mod p reaches that, it is the rank.
+    An entry that is not an integer (by operator.index) raises ValueError.
     """
-    mat = [[int(x) for x in row] for row in rows]
+    try:
+        mat = [[operator.index(x) for x in row] for row in rows]
+    except TypeError as exc:
+        raise ValueError(f"matrix entries must be integers: {exc}") from exc
     res = np.array([[x % _WITNESS_PRIME for x in row] for row in mat], dtype=np.int64)
     if not res.size:
         return 0

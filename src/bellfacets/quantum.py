@@ -13,9 +13,11 @@ The direction step visits the observers in turn; no term holds two settings
 of one observer, so one contraction of g, C and the other observers'
 directions scores all its settings at once, and each takes its normalized
 score.  Both steps are monotone; a decrease beyond rounding (the larger of
-1e-8 and 1e-13 sum |g|) raises RuntimeError.  The (inequality, restart) rows
-of one observer count advance in lockstep, up to _ROW_BLOCK at a time: one
-stacked eigh per iteration and batched contractions, none of which mixes rows.
+1e-8 and 1e-13 sum |g|) raises RuntimeError.  Each (inequality, restart) pair of
+one observer count is a row of one table sized up front, rows x (9N + 2 * 2^N + 4)
+numbers: directions, state, objective, last gain, iterations and stop flag.  Up to
+_ROW_BLOCK rows advance in lockstep: each iteration gathers them, runs one stacked
+eigh and batched contractions, none of which mixes rows, and scatters them back.
 
 Stop rule: a restart ends, converged, after the first iteration (a state
 step, then every observer's direction step) that raises the objective by
@@ -26,7 +28,7 @@ every _EXTRAPOLATE_EVERY = 5 iterations of a restart whose last two gains fall,
 d_k < d_{k-1}, it tries Aitken's delta-squared step: each direction n moves to
 normalize(n + rho/(1 - rho) (n - n_before)), rho = d_k/d_{k-1}, n_before its
 value when the iteration began.  The trial is kept only if its operator's top
-eigenvalue exceeds the objective; it is not an iteration and not in the trace.
+eigenvalue exceeds the objective; it is not an iteration.
 
 Start rule: restart r under seed s draws u, u' per (observer, setting), in
 order, from random.Random(f"{s}:{r}"), whose stream no Python version changes;
@@ -58,7 +60,7 @@ _MONOTONE_SLACK = 1e-8
 _IMPROVEMENT_THRESHOLD = 1e-10  # the stop rule (module docstring), relative to the bound
 _MAX_ITERATIONS = 10_000
 _ZERO_AMPLITUDE = 1e-12
-_ROW_BLOCK = 64  # rows advanced together; bounds every stacked array
+_ROW_BLOCK = 64  # rows advanced together; bounds each iteration's stacked arrays, not the table
 _EXTRAPOLATE_EVERY = 5  # iterations of a row between its extrapolation trials
 
 
@@ -69,7 +71,9 @@ class ObservableDirection:
     directions: np.ndarray
 
     def __post_init__(self):
-        if self.directions.ndim != 3 or self.directions.shape[1:] != (3, 3):
+        if not isinstance(self.directions, np.ndarray):
+            raise ValueError(f"directions must be an array, got {type(self.directions).__name__}")
+        if self.directions.shape[1:] != (3, 3):
             raise ValueError("directions must have shape (parties, 3 settings, 3 components)")
         norms = np.linalg.norm(self.directions, axis=2)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):  # NaN fails too
@@ -174,7 +178,7 @@ class QuantumValueReport:
     state: np.ndarray
     restarts_used: int
     converged: bool
-    objective_trace: tuple[float, ...]
+    iterations: int  # state steps of the reported restart
 
     @property
     def quantum_violating(self) -> bool:
@@ -220,31 +224,28 @@ def _start(parties: int, seed: int, restart: int) -> np.ndarray:
 
 
 def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
-    """seesaw_maximize_all on inequalities of one observer count: rows are
-    admitted in (inequality, restart) order, up to _ROW_BLOCK at a time."""
-    parties = ineqs[0].parties
-    starts = np.stack([_start(parties, seed, r) for r in range(restarts)])
+    """seesaw_maximize_all on inequalities of one observer count: row e * restarts + r
+    of one table holds restart r of inequality e; rows are admitted in that order, up to
+    _ROW_BLOCK at a time, and each iteration gathers the live rows and scatters them back."""
+    parties, rows = ineqs[0].parties, len(ineqs) * restarts
     coeffs = np.stack([ineq.coeffs for ineq in ineqs]).astype(np.float64)
     scales = np.array([float(ineq.bound) for ineq in ineqs])
     caps = np.array([float(algebraic_maximum(ineq)) for ineq in ineqs])
     slacks = np.maximum(_MONOTONE_SLACK, 1e-13 * caps)  # rounding grows with the terms
     used = np.full(len(ineqs), restarts)  # lowered to r + 1 once restart r reaches the cap
-    runs = [[None] * restarts for _ in ineqs]  # runs[e][r]: (value, converged, trace, dirs, state)
-    queue = ((e, r) for e in range(len(ineqs)) for r in range(restarts))
-    owner = restart = count = np.zeros(0, np.intp)
-    dirs, prev, last_gain, traces = starts[:0], np.zeros(0), np.zeros(0), []
+    owner, restart = np.divmod(np.arange(rows), restarts)
+    table_dirs = np.tile(np.stack([_start(parties, seed, r) for r in range(restarts)]), (len(ineqs), 1, 1, 1))
+    values, last_gains = np.full(rows, -np.inf), np.full(rows, np.nan)
+    counts, stopped = np.zeros(rows, np.intp), np.zeros(rows, bool)
+    states = np.zeros((rows, 2 ** parties), np.complex128)
+    queue = (e * restarts + r for e in range(len(ineqs)) for r in range(restarts) if r < used[e])
+    block = np.zeros(0, np.intp)
     while True:
-        admit = list(itertools.islice(((e, r) for e, r in queue if r < used[e]), _ROW_BLOCK - len(traces)))
-        if admit:
-            new_owner, new_restart = np.array(admit, dtype=np.intp).T
-            owner, restart = np.append(owner, new_owner), np.append(restart, new_restart)
-            count = np.append(count, np.zeros(len(admit), np.intp))
-            dirs, prev = np.concatenate((dirs, starts[new_restart])), np.append(prev, [-np.inf] * len(admit))
-            last_gain = np.append(last_gain, [np.nan] * len(admit))
-            traces += [[] for _ in admit]
-            g, tol, slack = coeffs[owner], _IMPROVEMENT_THRESHOLD * scales[owner], slacks[owner]
-        if not traces:
+        block = np.concatenate((block, np.fromiter(itertools.islice(queue, _ROW_BLOCK - block.size), np.intp)))
+        if not block.size:
             break
+        e = owner[block]
+        g, slack, prev, dirs = coeffs[e], slacks[e], values[block], table_dirs[block]
 
         eigvals, eigvecs = np.linalg.eigh(_operators(g, dirs))
         value = eigvals[:, -1]
@@ -264,17 +265,12 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
             stepped = stepped + np.add.reduce(gains, (1, 2))
             np.divide(score, norms, out=party_dirs, where=live)
 
-        for trace, before, after in zip(traces, value.tolist(), stepped.tolist()):
-            trace += (before, after)
-        count += 1
-        gain, prev = stepped - prev, stepped
-        converged = gain < tol
+        count = counts[block] + 1
+        gain, prev, last_gain = stepped - prev, stepped, last_gains[block]
+        converged = gain < _IMPROVEMENT_THRESHOLD * scales[e]
         finished = converged | (count >= _MAX_ITERATIONS)
-        for i in np.flatnonzero(finished).tolist():
-            e, r = owner[i], restart[i]
-            runs[e][r] = (float(prev[i]), bool(converged[i]), np.array(traces[i]), dirs[i].copy(), state[i].copy())
-            if prev[i] >= caps[e] - 1e-12 * max(1.0, caps[e]):
-                used[e] = min(used[e], r + 1)
+        capped = finished & (prev >= caps[e] - 1e-12 * np.maximum(1.0, caps[e]))
+        np.minimum.at(used, e[capped], restart[block[capped]] + 1)
 
         # the extrapolation trial (module docstring), on rows that go on
         trial = np.flatnonzero(~finished & (count % _EXTRAPOLATE_EVERY == 0) & (last_gain > gain) & (gain > 0))
@@ -287,21 +283,18 @@ def _lockstep(ineqs, restarts, seed) -> list[QuantumValueReport]:
             top = _top_values(g[trial], step)
             better = top > prev[trial]
             dirs[trial[better]], prev[trial[better]] = step[better], top[better]
-        last_gain = gain
-        if finished.any():
-            keep = ~finished & (restart < used[owner])
-            owner, restart, count, dirs, prev, last_gain, g, tol, slack = (
-                x[keep] for x in (owner, restart, count, dirs, prev, last_gain, g, tol, slack))
-            traces = [trace for trace, k in zip(traces, keep.tolist()) if k]
+        table_dirs[block], values[block], last_gains[block] = dirs, prev, gain
+        counts[block], stopped[block], states[block] = count, converged, state
+        block = block[~finished & (restart[block] < used[e])]
 
     reports = []
-    for ineq, done, n, scale, cap in zip(ineqs, runs, used.tolist(), scales.tolist(), caps.tolist()):
-        values = np.array([run[0] for run in done[:n]])
-        best = int(np.argmax(np.where(np.isnan(values), -np.inf, values)))  # earliest on a tie
-        value, converged, trace, best_dirs, best_state = done[best]
+    for e, (n, scale, cap) in enumerate(zip(used.tolist(), scales.tolist(), caps.tolist())):
+        first = values[e * restarts:e * restarts + n]
+        best = e * restarts + int(np.argmax(np.where(np.isnan(first), -np.inf, first)))  # earliest on a tie
+        value = float(values[best])
         if not value > -np.inf:
             raise RuntimeError("see-saw found no finite objective value")
         reports.append(QuantumValueReport(
-            value, min(value / scale, cap / scale), ObservableDirection(best_dirs),
-            _canonical_phase(best_state), n, converged, tuple(trace.tolist())))
+            value, min(value / scale, cap / scale), ObservableDirection(table_dirs[best].copy()),
+            _canonical_phase(states[best]), n, bool(stopped[best]), int(counts[best])))
     return reports

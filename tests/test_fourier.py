@@ -55,8 +55,8 @@ def test_assignment_round_trip():
 def test_assignment_rejects_stray_bits():
     with pytest.raises(ValueError):
         SignFunction(2, 1 << 16)
-    # a table must be a Python int: to_text needs int.to_bytes
-    for table, kind in ((np.uint64(5), "uint64"), (5.0, "float")):
+    # a table must be a Python int: to_text needs int.to_bytes; True would read as table 1
+    for table, kind in ((np.uint64(5), "uint64"), (5.0, "float"), (True, "bool")):
         with pytest.raises(ValueError, match=f"^table must be an int, got {kind}$"):
             SignFunction(2, table)
     for parties in (1, 5):

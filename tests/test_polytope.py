@@ -571,6 +571,16 @@ def test_rank_known_cases():
         fraction_free_rank([[1, 2], [3]])
 
 
+def test_rank_rejects_non_integer_entries():
+    # int() would truncate 0.5 to 0 and read "1" as 1, and report rank 1 for both
+    for rows in ([[0.5, 0], [0, 1]], [["1", "2"], ["2", "4"]], [[np.float64(2.0)]]):
+        with pytest.raises(ValueError, match="^matrix entries must be integers"):
+            fraction_free_rank(rows)
+    # numpy integers, as certify_tightness passes them, and int arrays are integers
+    assert fraction_free_rank([[np.int64(1), np.int8(2)], [np.int32(3), np.int64(4)]]) == 2
+    assert fraction_free_rank(np.array([[1, 2], [2, 4]])) == 1
+
+
 def test_rank_matches_floating_oracle_on_random_small_matrices():
     rng = np.random.default_rng(77)
     for _ in range(200):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -95,6 +96,11 @@ def test_directions_of_the_wrong_shape_are_rejected():
         ObservableDirection(np.ones((2, 3, 2)) / np.sqrt(2))
 
 
+def test_directions_given_as_a_list_are_rejected():
+    with pytest.raises(ValueError, match="^directions must be an array, got list$"):
+        ObservableDirection(np.eye(3)[None].repeat(2, 0).tolist())
+
+
 def test_directions_for_another_observer_count_are_rejected(chsh_inequality):
     dirs = _random_dirs(3, np.random.default_rng(0))
     with pytest.raises(ValueError, match="^direction set and inequality disagree on observer count$"):
@@ -164,16 +170,21 @@ def test_seesaw_reaches_mermin_algebraic_maximum(mermin_inequality):
 
 
 def test_seesaw_traces_are_monotone(chsh_inequality, mermin_inequality):
+    # the library checks each of its steps in code at this 1e-8 bound, so its run completing
+    # is its half of the check; the reference loop's trace is the other half
     for ineq, seed in ((chsh_inequality, 1), (chsh_inequality, 2), (mermin_inequality, 3)):
-        trace = seesaw_maximize(ineq, restarts=4, seed=seed).objective_trace
+        assert max(quantum._MONOTONE_SLACK, 1e-13 * algebraic_maximum(ineq)) == 1e-8
+        report = seesaw_maximize(ineq, restarts=4, seed=seed)
+        trace = _reference_seesaw(ineq, 4, seed)[1]
         assert all(b >= a - 1e-8 for a, b in zip(trace, trace[1:]))
+        assert len(trace) == 2 * report.iterations
 
 
 def test_seesaw_is_deterministic(chsh_inequality):
     a = seesaw_maximize(chsh_inequality, restarts=6, seed=42)
     b = seesaw_maximize(chsh_inequality, restarts=6, seed=42)
     assert a.quantum_max == b.quantum_max
-    assert a.objective_trace == b.objective_trace
+    assert a.iterations == b.iterations
     assert np.array_equal(a.state, b.state)
     assert np.array_equal(a.directions.directions, b.directions.directions)
     assert a.restarts_used == b.restarts_used
@@ -366,7 +377,7 @@ def test_seesaw_matches_reference_loop(chsh_inequality, mermin_inequality):
                                       (dense, 1, 1, 1e-9 * dense.bound), (four, 2, 7, 1e-9 * four.bound)):
         value, trace, restarts_used, trials = _reference_seesaw(ineq, restarts, seed)
         report = seesaw_maximize(ineq, restarts=restarts, seed=seed)
-        assert len(report.objective_trace) == len(trace)
+        assert 2 * report.iterations == len(trace)
         assert report.quantum_max == pytest.approx(value, abs=tol)
         assert report.restarts_used == restarts_used
         accepted += trials
@@ -393,7 +404,7 @@ def test_extrapolation_shortens_the_dense_tail():
     # without trials this restart runs 982 iterations to ratio 1.9999999511...
     report = seesaw_maximize(inequality_from_sign_function(SignFunction.from_text(DENSE3)), restarts=1, seed=1)
     assert report.converged
-    assert len(report.objective_trace) // 2 <= 100
+    assert report.iterations <= 100
     assert report.violation_ratio >= 1.9999999511
 
 
@@ -525,7 +536,7 @@ def test_seesaw_ratio_is_symmetry_invariant_three_observers(census3):
 def _same_report(a, b):
     return (a.quantum_max == b.quantum_max and a.violation_ratio == b.violation_ratio
             and a.restarts_used == b.restarts_used and a.converged == b.converged
-            and a.objective_trace == b.objective_trace and np.array_equal(a.state, b.state)
+            and a.iterations == b.iterations and np.array_equal(a.state, b.state)
             and np.array_equal(a.directions.directions, b.directions.directions))
 
 
@@ -536,6 +547,18 @@ def test_batch_equals_per_entry_calls_bit_for_bit(census3):
     assert len(batch) == 76
     for ineq, report in zip(ineqs, batch):
         assert _same_report(report, seesaw_maximize(ineq, restarts=2, seed=5)), sign_function_of(ineq).to_text()
+
+
+def test_batch_peak_allocation_is_the_row_table(census3):
+    # 76 classes x 32 restarts = 2432 rows of 47 numbers: a 0.91 MB row table
+    ineqs = [inequality_from_sign_function(c.representative) for c in census3.canonical_classes]
+    tracemalloc.start()
+    try:
+        quantum.seesaw_maximize_all(ineqs, restarts=32, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8e6
 
 
 def test_batch_matches_reference_loop(census2):
